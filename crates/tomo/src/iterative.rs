@@ -5,19 +5,27 @@
 //! markedly better on noisy or angle-starved data.
 //!
 //! SIRT — the solver the file-based branch runs for 100 iterations per
-//! slice — is dominated by the forward projection inside its update
-//! loop (~80% of the per-iteration cost). [`IterPlan`] is the
+//! slice — is the whole cost of that branch. [`IterPlan`] is the
 //! scan-level plan for it: built once per `(Geometry, IterConfig)`, it
 //! precomputes the row/column sums of the system matrix **and** a
 //! per-ray sample table for the forward projector — every integer step
 //! of every ray that can touch the image, stored as a flat
-//! `(pixel index, fx, fy)` list. The per-sample coordinate math,
-//! bounds tests and branchy bilinear gather of the reference projector
-//! collapse into a table walk of fused lerps, and rays are pre-clipped
-//! to the reconstruction-disk chord (exact for SIRT: iterates are
-//! disk-masked, so samples whose four neighbours lie outside the disk
-//! contribute exactly zero). One plan serves every slice of a scan and
-//! every worker thread; per-thread state lives in an [`IterScratch`].
+//! `(pixel index, fx, fy)` list, rays pre-clipped to the
+//! reconstruction-disk chord (exact for SIRT: iterates are disk-masked,
+//! so samples whose four neighbours lie outside the disk contribute
+//! exactly zero).
+//!
+//! Every slice of a scan shares that table, the backprojection clip
+//! intervals and the detector coordinates, so the kernel's **lanes are
+//! slices**: [`IterPlan::sirt_batch_into`] advances `LANES = 4` slices
+//! together, stored pixel-interleaved in the [`IterScratch`], and
+//! spends each table sample, each coordinate solve and each interval
+//! lookup once per batch instead of once per slice. Lanes never mix:
+//! every lane performs exactly the arithmetic of a one-slice solve, so
+//! a slice's bits do not depend on its batch, its lane or its
+//! neighbours (`tests/plan_equivalence.rs` gates this against a
+//! per-slice oracle with `assert_eq!`). One plan serves every worker
+//! thread; per-thread state lives in the scratch.
 //!
 //! The pre-plan per-slice path is retained verbatim as
 //! [`sirt_slice_baseline`] for equivalence tests and same-run
@@ -29,6 +37,7 @@ use crate::geometry::Geometry;
 use crate::image::{Image, Sinogram};
 use crate::plan::ReconPlan;
 use crate::radon::{apply_disk_mask, in_recon_disk};
+use crate::simd::{SimdPath, SLICE_LANES as LANES};
 use crate::TomoError;
 use serde::{Deserialize, Serialize};
 
@@ -105,10 +114,10 @@ fn post_iterate(img: &mut Image, cfg: &IterConfig) {
 /// One precomputed forward-projection sample: base pixel index plus the
 /// bilinear fractions. 12 bytes, walked sequentially per ray.
 #[derive(Debug, Clone, Copy)]
-struct RaySample {
-    idx: u32,
-    fx: f32,
-    fy: f32,
+pub(crate) struct RaySample {
+    pub(crate) idx: u32,
+    pub(crate) fx: f32,
+    pub(crate) fy: f32,
 }
 
 /// Smallest `r` in `[lo, hi)` for which `cond` holds, assuming `cond` is
@@ -125,6 +134,23 @@ fn lower_bound_i64(mut lo: i64, mut hi: i64, cond: impl Fn(i64) -> bool) -> i64 
     lo
 }
 
+/// The forward-projection sample table of one geometry.
+#[derive(Debug, Clone)]
+struct RayTable {
+    /// Flat sample list, rays concatenated in `(angle, detector)` order.
+    samples: Vec<RaySample>,
+    /// Per-ray `[start, end)` range into `samples`.
+    ranges: Vec<(u32, u32)>,
+}
+
+impl RayTable {
+    /// The samples of ray `a * n_det + t`.
+    fn ray(&self, ray: usize) -> &[RaySample] {
+        let (s0, s1) = self.ranges[ray];
+        &self.samples[s0 as usize..s1 as usize]
+    }
+}
+
 /// Scan-level SIRT plan: the projector plan, the row/column sums of the
 /// system matrix, and the forward-projection sample table — everything
 /// that [`sirt_slice_baseline`] used to re-derive per slice (and, for
@@ -135,22 +161,27 @@ pub struct IterPlan {
     plan: ReconPlan,
     n: usize,
     n_angles: usize,
-    /// Flat sample table, rays concatenated in `(angle, detector)` order.
-    samples: Vec<RaySample>,
-    /// Per-ray `[start, end)` range into `samples`.
-    ranges: Vec<(u32, u32)>,
-    /// Forward projection of an all-ones image (system-matrix row sums).
-    row_sums: Sinogram,
-    /// Backprojection of an all-ones sinogram (column sums).
-    col_sums: Image,
+    table: RayTable,
+    /// Per ray: forward projection of an all-ones image (system-matrix
+    /// row sum), floored at 1e-6 — the residual's divisor.
+    row_norm: Vec<f32>,
+    /// Per pixel: backprojection of an all-ones sinogram (column sum),
+    /// floored at 1e-6 — the update's divisor.
+    col_norm: Vec<f32>,
 }
 
-/// Reusable per-thread buffers for plan-based SIRT.
+/// Reusable per-thread buffers for plan-based SIRT: one batch of
+/// `LANES` slices, pixel-interleaved (`buf[pixel * LANES + lane]`).
+/// The residual rows carry the backprojector's sentinel column, so a
+/// row is `(n_det + 1) * LANES` long.
 #[derive(Debug, Clone)]
 pub struct IterScratch {
-    fwd: Sinogram,
-    resid: Sinogram,
-    update: Image,
+    /// Current iterates.
+    x4: Vec<f32>,
+    /// Normalised residuals `(p − Ax) / R`, the backprojector's input.
+    resid4: Vec<f32>,
+    /// Backprojected residuals.
+    update4: Vec<f32>,
 }
 
 impl IterPlan {
@@ -160,36 +191,45 @@ impl IterPlan {
     /// `y ∈ [0, h−1)`), found by binary search on the same float
     /// expressions the reference evaluates — so the table-driven forward
     /// sums the identical sample set, merely reassociated.
+    ///
+    /// Fails with [`TomoError::BadParameter`] when the table would not
+    /// fit its `u32` offsets (≈ 0.785 · n² · angles samples).
     pub fn new(geom: &Geometry, cfg: &IterConfig) -> Result<IterPlan, TomoError> {
         validate_cfg(cfg)?;
         let plan = projector_plan(geom, cfg)?;
         let n = geom.n_det;
         let n_angles = geom.n_angles();
+        let table = build_ray_table(geom, n, cfg.mask_disk)?;
 
         // Row sums: projection of an all-ones image (NOT disk-supported,
         // so it must use the unclipped reference projector); column
-        // sums: backprojection of an all-ones sinogram. Both were
-        // previously recomputed per slice.
+        // sums: backprojection of an all-ones sinogram.
         let mut ones_img = Image::square(n);
         ones_img.data.iter_mut().for_each(|v| *v = 1.0);
         let mut row_sums = Sinogram::zeros(n_angles, n);
         plan.forward_into(&ones_img, &mut row_sums);
         let mut ones_sino = Sinogram::zeros(n_angles, n);
         ones_sino.data.iter_mut().for_each(|v| *v = 1.0);
-        let mut col_sums = Image::square(n);
-        plan.backproject_acc(&ones_sino, &mut col_sums.data, 1.0);
+        let mut col_sums = vec![0.0f32; n * n];
+        plan.backproject_acc(&ones_sino, 1.0, &mut plan.make_scratch(), &mut col_sums);
 
-        let (samples, ranges) = build_ray_table(geom, n, cfg.mask_disk);
+        let floor = |v: f32| v.max(1e-6);
         Ok(IterPlan {
             cfg: *cfg,
             plan,
             n,
             n_angles,
-            samples,
-            ranges,
-            row_sums,
-            col_sums,
+            table,
+            row_norm: row_sums.data.into_iter().map(floor).collect(),
+            col_norm: col_sums.into_iter().map(floor).collect(),
         })
+    }
+
+    /// Force a specific SIMD path (clamped to host capability) for the
+    /// projector kernels. Used by the SIMD-vs-scalar gates.
+    pub fn with_simd_path(mut self, path: SimdPath) -> IterPlan {
+        self.plan = self.plan.with_simd_path(path);
+        self
     }
 
     pub fn geometry(&self) -> &Geometry {
@@ -203,17 +243,18 @@ impl IterPlan {
     /// Approximate heap size of the sample table (the plan's dominant
     /// memory cost; ~12 bytes per ray sample).
     pub fn table_bytes(&self) -> usize {
-        self.samples.len() * std::mem::size_of::<RaySample>()
-            + self.ranges.len() * std::mem::size_of::<(u32, u32)>()
+        self.table.samples.len() * std::mem::size_of::<RaySample>()
+            + self.table.ranges.len() * std::mem::size_of::<(u32, u32)>()
     }
 
     /// Allocate the mutable buffers one worker thread needs. Create one
-    /// per thread and reuse it for every slice that thread processes.
+    /// per thread and reuse it for every batch that thread processes.
     pub fn make_scratch(&self) -> IterScratch {
+        let image = self.n * self.n * LANES;
         IterScratch {
-            fwd: Sinogram::zeros(self.n_angles, self.n),
-            resid: Sinogram::zeros(self.n_angles, self.n),
-            update: Image::square(self.n),
+            x4: vec![0.0; image],
+            resid4: vec![0.0; self.n_angles * (self.n + 1) * LANES],
+            update4: vec![0.0; image],
         }
     }
 
@@ -227,8 +268,7 @@ impl IterPlan {
         debug_assert_eq!((sino.n_angles, sino.n_det), (self.n_angles, self.n));
         let w = self.n;
         for (ray, out) in sino.data.iter_mut().enumerate() {
-            let (s0, s1) = self.ranges[ray];
-            let chunk = &self.samples[s0 as usize..s1 as usize];
+            let chunk = self.table.ray(ray);
             let mut acc0 = 0.0f64;
             let mut acc1 = 0.0f64;
             let mut it = chunk.chunks_exact(2);
@@ -258,44 +298,85 @@ impl IterPlan {
     }
 
     /// SIRT-reconstruct one sinogram directly into a caller-provided
-    /// `n × n` pixel buffer (e.g. a volume slice). The buffer is fully
-    /// overwritten. Shapes must match the plan's geometry.
+    /// `n × n` pixel buffer (e.g. a volume slice): a batch of one. The
+    /// buffer is fully overwritten. Shapes must match the plan's
+    /// geometry.
     pub fn sirt_into(&self, sino: &Sinogram, scratch: &mut IterScratch, out: &mut [f32]) {
-        assert_eq!(
-            (sino.n_angles, sino.n_det),
-            (self.n_angles, self.n),
-            "sinogram shape does not match the plan geometry"
-        );
-        assert_eq!(out.len(), self.n * self.n, "output buffer size mismatch");
-        let IterScratch { fwd, resid, update } = scratch;
-        out.fill(0.0);
+        self.sirt_batch_into(std::slice::from_ref(sino), scratch, out);
+    }
+
+    /// SIRT-reconstruct consecutive slices: sinogram `i` lands in
+    /// `out[i·n² .. (i+1)·n²]`, fully overwritten. Slices advance
+    /// `LANES` at a time (the last batch padded with idle lanes), and
+    /// every slice's result is bit-identical to solving it alone.
+    /// Shapes must match the plan's geometry.
+    pub fn sirt_batch_into(&self, sinos: &[Sinogram], scratch: &mut IterScratch, out: &mut [f32]) {
+        let npix = self.n * self.n;
+        assert_eq!(out.len(), sinos.len() * npix, "output buffer size mismatch");
+        for (batch, out) in sinos.chunks(LANES).zip(out.chunks_mut(LANES * npix)) {
+            self.sirt_lanes(batch, scratch, out);
+        }
+    }
+
+    /// One batch of at most `LANES` slices through the interleaved
+    /// kernel. Per iteration: one walk of the ray table (forward
+    /// projection and normalised residual of every lane), one
+    /// backprojection sweep, one relaxed update over the row extents.
+    fn sirt_lanes(&self, sinos: &[Sinogram], scratch: &mut IterScratch, out: &mut [f32]) {
+        let (n, npix) = (self.n, self.n * self.n);
+        debug_assert!((1..=LANES).contains(&sinos.len()));
+        for sino in sinos {
+            assert_eq!(
+                (sino.n_angles, sino.n_det),
+                (self.n_angles, n),
+                "sinogram shape does not match the plan geometry"
+            );
+        }
+        let IterScratch {
+            x4,
+            resid4,
+            update4,
+        } = scratch;
+        let path = self.plan.simd_path();
+        x4.fill(0.0);
+        resid4.fill(0.0); // the sentinel column stays 0; the rest is rewritten
+
+        let relax = self.cfg.relaxation as f32;
         for _ in 0..self.cfg.iterations {
-            self.forward_into(out, fwd);
-            for i in 0..resid.data.len() {
-                let r = self.row_sums.data[i].max(1e-6);
-                resid.data[i] = (sino.data[i] - fwd.data[i]) / r;
-            }
-            update.data.iter_mut().for_each(|v| *v = 0.0);
-            self.plan.backproject_acc(resid, &mut update.data, 1.0);
-            for (i, o) in out.iter_mut().enumerate() {
-                let c = self.col_sums.data[i].max(1e-6);
-                *o += self.cfg.relaxation as f32 * update.data[i] / c;
-            }
-            if self.cfg.nonneg {
-                for v in out.iter_mut() {
-                    if *v < 0.0 {
-                        *v = 0.0;
+            // interleaved rows carry one extra (sentinel) detector bin
+            for (a, r4) in resid4.chunks_exact_mut((n + 1) * LANES).enumerate() {
+                for (t, bin) in r4.chunks_exact_mut(LANES).take(n).enumerate() {
+                    let ray = a * n + t;
+                    let fwd = crate::simd::ray_sums_lanes(path, self.table.ray(ray), n, x4);
+                    let r = self.row_norm[ray];
+                    for (l, v) in bin.iter_mut().enumerate() {
+                        // idle lanes solve the zero sinogram and stay
+                        // exactly zero
+                        let p = sinos.get(l).map_or(0.0, |s| s.data[ray]);
+                        *v = (p - fwd[l]) / r;
                     }
                 }
             }
-            if self.cfg.mask_disk {
-                for y in 0..self.n {
-                    for x in 0..self.n {
-                        if !in_recon_disk(x, y, self.n) {
-                            out[y * self.n + x] = 0.0;
-                        }
+            update4.fill(0.0);
+            self.plan.backproject_lanes(resid4, update4);
+            // pixels outside the row extents (the disk mask) are never
+            // written: they keep the 0.0 the mask would set
+            for (y, &(x0, x1)) in self.plan.row_extents().iter().enumerate() {
+                let (p0, p1) = (y * n + x0, y * n + x1);
+                let xs = x4[p0 * LANES..p1 * LANES].chunks_exact_mut(LANES);
+                let us = update4[p0 * LANES..p1 * LANES].chunks_exact(LANES);
+                for ((xv, uv), &c) in xs.zip(us).zip(&self.col_norm[p0..p1]) {
+                    for l in 0..LANES {
+                        let v = xv[l] + relax * uv[l] / c;
+                        xv[l] = if self.cfg.nonneg && v < 0.0 { 0.0 } else { v };
                     }
                 }
+            }
+        }
+
+        for (l, slice) in out.chunks_exact_mut(npix).enumerate() {
+            for (o, px) in slice.iter_mut().zip(x4.chunks_exact(LANES)) {
+                *o = px[l];
             }
         }
     }
@@ -314,100 +395,149 @@ impl IterPlan {
     }
 }
 
+/// One ray of the forward-projection table: the foot `(bx, by)` of the
+/// perpendicular from the image centre and the ray direction. `x_of` /
+/// `y_of` are the same float expressions the reference projector
+/// evaluates per sample; both are weakly monotone in `r`.
+#[derive(Clone, Copy)]
+struct Ray {
+    bx: f64,
+    by: f64,
+    sin_t: f64,
+    cos_t: f64,
+}
+
+impl Ray {
+    fn x_of(&self, r: i64) -> f64 {
+        self.bx - r as f64 * self.sin_t
+    }
+
+    fn y_of(&self, r: i64) -> f64 {
+        self.by + r as f64 * self.cos_t
+    }
+}
+
+/// The half-open range `[ra, rb)` of integer ray steps whose bilinear
+/// sample can be nonzero on an `n × n` image (empty: `ra >= rb`).
+fn ray_steps(ray: &Ray, s: f64, n: usize, disk_clip: bool) -> (i64, i64) {
+    let last = n as f64 - 1.0;
+    let half_len = (((n * n + n * n) as f64).sqrt() / 2.0).ceil() as i64;
+    let mut lo = -half_len;
+    let mut hi = half_len + 1;
+    if disk_clip {
+        // Disk-chord clip radius: a bilinear sample can only be nonzero
+        // on a disk-supported image if it lies within √2 of some
+        // in-disk pixel, so clip at the disk radius plus a 1.5-pixel
+        // safety margin. `bx,by` is the foot of the perpendicular from
+        // the image center, so the chord |ray ∩ disk| is symmetric
+        // around r = 0: r² ≤ r_disk² − s².
+        let r_disk = (n as f64 / 2.0 - 1.0) + 1.5;
+        let disc = r_disk * r_disk - s * s;
+        if disc < 0.0 {
+            return (0, 0);
+        }
+        let q = disc.sqrt();
+        lo = lo.max((-q).floor() as i64 - 1);
+        hi = hi.min(q.ceil() as i64 + 2);
+    }
+    // x(r) ∈ [0, last): a single r-interval per predicate because x(r)
+    // is monotone (affine map, monotone rounding).
+    let (xa, xb) = if ray.sin_t > 0.0 {
+        (
+            lower_bound_i64(lo, hi, |r| ray.x_of(r) < last),
+            lower_bound_i64(lo, hi, |r| ray.x_of(r) < 0.0),
+        )
+    } else if ray.sin_t < 0.0 {
+        (
+            lower_bound_i64(lo, hi, |r| ray.x_of(r) >= 0.0),
+            lower_bound_i64(lo, hi, |r| ray.x_of(r) >= last),
+        )
+    } else if ray.bx >= 0.0 && ray.bx < last {
+        (lo, hi)
+    } else {
+        (lo, lo)
+    };
+    let (ya, yb) = if ray.cos_t > 0.0 {
+        (
+            lower_bound_i64(lo, hi, |r| ray.y_of(r) >= 0.0),
+            lower_bound_i64(lo, hi, |r| ray.y_of(r) >= last),
+        )
+    } else if ray.cos_t < 0.0 {
+        (
+            lower_bound_i64(lo, hi, |r| ray.y_of(r) < last),
+            lower_bound_i64(lo, hi, |r| ray.y_of(r) < 0.0),
+        )
+    } else if ray.by >= 0.0 && ray.by < last {
+        (lo, hi)
+    } else {
+        (lo, lo)
+    };
+    (xa.max(ya), xb.min(yb))
+}
+
+/// Per-ray `[start, end)` offsets into the flat sample table from the
+/// per-ray sample counts. The table indexes itself with `u32`, so a
+/// table past 2³² samples is refused here — before it is allocated —
+/// instead of wrapping and projecting along the wrong samples.
+fn checked_ranges(counts: &[usize]) -> Result<Vec<(u32, u32)>, TomoError> {
+    let total: u64 = counts.iter().map(|&c| c as u64).sum();
+    if total > u32::MAX as u64 {
+        return Err(TomoError::BadParameter(format!(
+            "SIRT ray table needs {total} samples ({} GiB), over the {} its u32 offsets can address; bin the detector or drop angles",
+            (total * std::mem::size_of::<RaySample>() as u64) >> 30,
+            u32::MAX
+        )));
+    }
+    let mut at = 0u32;
+    Ok(counts
+        .iter()
+        .map(|&c| {
+            let start = at;
+            at += c as u32; // cannot wrap: the sum was checked above
+            (start, at)
+        })
+        .collect())
+}
+
 /// Enumerate the forward-projection sample table for every `(angle,
 /// detector)` ray of the geometry over a square `n × n` image.
-fn build_ray_table(
-    geom: &Geometry,
-    n: usize,
-    disk_clip: bool,
-) -> (Vec<RaySample>, Vec<(u32, u32)>) {
-    let w = n;
-    let cx = (n as f64 - 1.0) / 2.0;
-    let cy = cx;
-    let last_x = n as f64 - 1.0;
-    let last_y = last_x;
-    let half_len = (((n * n + n * n) as f64).sqrt() / 2.0).ceil() as i64;
-    // Disk-chord clip radius: a bilinear sample can only be nonzero on a
-    // disk-supported image if it lies within √2 of some in-disk pixel,
-    // so clip at the disk radius plus a 1.5-pixel safety margin.
-    let r_disk = (n as f64 / 2.0 - 1.0) + 1.5;
-    let mut samples = Vec::new();
-    let mut ranges = Vec::with_capacity(geom.n_angles() * geom.n_det);
-    for &theta in &geom.angles {
-        let (sin_t, cos_t) = theta.sin_cos();
-        for t in 0..geom.n_det {
-            let s = t as f64 - geom.center;
-            let bx = cx + s * cos_t;
-            let by = cy + s * sin_t;
-            // The same float expressions the reference projector
-            // evaluates per sample; both are weakly monotone in r.
-            let x_of = |r: i64| bx - r as f64 * sin_t;
-            let y_of = |r: i64| by + r as f64 * cos_t;
-            let mut lo = -half_len;
-            let mut hi = half_len + 1;
-            if disk_clip {
-                // `bx,by` is the foot of the perpendicular from the
-                // image center, so the chord |ray ∩ disk| is symmetric
-                // around r = 0: r² ≤ r_disk² − s².
-                let disc = r_disk * r_disk - s * s;
-                if disc < 0.0 {
-                    let at = samples.len() as u32;
-                    ranges.push((at, at));
-                    continue;
-                }
-                let q = disc.sqrt();
-                lo = lo.max((-q).floor() as i64 - 1);
-                hi = hi.min(q.ceil() as i64 + 2);
-            }
-            // x(r) ∈ [0, last_x): a single r-interval per predicate
-            // because x(r) is monotone (affine map, monotone rounding).
-            let (xa, xb) = if sin_t > 0.0 {
-                (
-                    lower_bound_i64(lo, hi, |r| x_of(r) < last_x),
-                    lower_bound_i64(lo, hi, |r| x_of(r) < 0.0),
-                )
-            } else if sin_t < 0.0 {
-                (
-                    lower_bound_i64(lo, hi, |r| x_of(r) >= 0.0),
-                    lower_bound_i64(lo, hi, |r| x_of(r) >= last_x),
-                )
-            } else if bx >= 0.0 && bx < last_x {
-                (lo, hi)
-            } else {
-                (lo, lo)
-            };
-            let (ya, yb) = if cos_t > 0.0 {
-                (
-                    lower_bound_i64(lo, hi, |r| y_of(r) >= 0.0),
-                    lower_bound_i64(lo, hi, |r| y_of(r) >= last_y),
-                )
-            } else if cos_t < 0.0 {
-                (
-                    lower_bound_i64(lo, hi, |r| y_of(r) < last_y),
-                    lower_bound_i64(lo, hi, |r| y_of(r) < 0.0),
-                )
-            } else if by >= 0.0 && by < last_y {
-                (lo, hi)
-            } else {
-                (lo, lo)
-            };
-            let (ra, rb) = (xa.max(ya), xb.min(yb));
-            let start = samples.len() as u32;
-            for r in ra..rb {
-                let x = x_of(r);
-                let y = y_of(r);
-                let ix = x as usize;
-                let iy = y as usize;
-                samples.push(RaySample {
-                    idx: (iy * w + ix) as u32,
-                    fx: (x - ix as f64) as f32,
-                    fy: (y - iy as f64) as f32,
-                });
-            }
-            ranges.push((start, samples.len() as u32));
+fn build_ray_table(geom: &Geometry, n: usize, disk_clip: bool) -> Result<RayTable, TomoError> {
+    let c = (n as f64 - 1.0) / 2.0;
+    let rays: Vec<(Ray, i64, i64)> = geom
+        .angles
+        .iter()
+        .flat_map(|&theta| {
+            let (sin_t, cos_t) = theta.sin_cos();
+            (0..geom.n_det).map(move |t| {
+                let s = t as f64 - geom.center;
+                let ray = Ray {
+                    bx: c + s * cos_t,
+                    by: c + s * sin_t,
+                    sin_t,
+                    cos_t,
+                };
+                let (ra, rb) = ray_steps(&ray, s, n, disk_clip);
+                (ray, ra, rb.max(ra))
+            })
+        })
+        .collect();
+    let counts: Vec<usize> = rays.iter().map(|&(_, ra, rb)| (rb - ra) as usize).collect();
+    let ranges = checked_ranges(&counts)?;
+    let mut samples = Vec::with_capacity(counts.iter().sum());
+    for &(ray, ra, rb) in &rays {
+        for r in ra..rb {
+            let x = ray.x_of(r);
+            let y = ray.y_of(r);
+            let ix = x as usize;
+            let iy = y as usize;
+            samples.push(RaySample {
+                idx: (iy * n + ix) as u32,
+                fx: (x - ix as f64) as f32,
+                fy: (y - iy as f64) as f32,
+            });
         }
     }
-    (samples, ranges)
+    Ok(RayTable { samples, ranges })
 }
 
 /// Simultaneous Iterative Reconstruction Technique.
@@ -449,7 +579,8 @@ pub fn sirt_slice_baseline(
     let mut ones_sino = Sinogram::zeros(sino.n_angles, sino.n_det);
     ones_sino.data.iter_mut().for_each(|v| *v = 1.0);
     let mut col_sums = Image::square(n);
-    plan.backproject_acc(&ones_sino, &mut col_sums.data, 1.0);
+    let mut bp = plan.make_scratch();
+    plan.backproject_acc(&ones_sino, 1.0, &mut bp, &mut col_sums.data);
 
     let mut x = Image::square(n);
     let mut fwd = Sinogram::zeros(sino.n_angles, sino.n_det);
@@ -463,7 +594,7 @@ pub fn sirt_slice_baseline(
             resid.data[i] = (sino.data[i] - fwd.data[i]) / r;
         }
         update.data.iter_mut().for_each(|v| *v = 0.0);
-        plan.backproject_acc(&resid, &mut update.data, 1.0);
+        plan.backproject_acc(&resid, 1.0, &mut bp, &mut update.data);
         for i in 0..x.data.len() {
             let c = col_sums.data[i].max(1e-6);
             x.data[i] += cfg.relaxation as f32 * update.data[i] / c;
@@ -490,6 +621,7 @@ pub fn art_slice(sino: &Sinogram, geom: &Geometry, cfg: &IterConfig) -> Result<I
     // per-angle scratch rows reused across the whole sweep
     let mut fwd = vec![0.0f32; n];
     let mut resid = vec![0.0f32; n];
+    let mut bp = plan.make_scratch();
     for _ in 0..cfg.iterations {
         for a in 0..geom.n_angles() {
             plan.forward_angle_into(&x, a, &mut fwd);
@@ -497,7 +629,7 @@ pub fn art_slice(sino: &Sinogram, geom: &Geometry, cfg: &IterConfig) -> Result<I
                 let norm = row_sums.get(a, t).max(1e-6);
                 resid[t] = cfg.relaxation as f32 * (sino.get(a, t) - fwd[t]) / norm;
             }
-            plan.backproject_angle_acc(&resid, a, &mut x.data, 1.0);
+            plan.backproject_angle_acc(&resid, a, 1.0, &mut bp, &mut x.data);
         }
         post_iterate(&mut x, cfg);
     }
@@ -520,7 +652,8 @@ pub fn mlem_slice(sino: &Sinogram, geom: &Geometry, cfg: &IterConfig) -> Result<
     let mut ones_sino = Sinogram::zeros(sino.n_angles, sino.n_det);
     ones_sino.data.iter_mut().for_each(|v| *v = 1.0);
     let mut sens = Image::square(n);
-    plan.backproject_acc(&ones_sino, &mut sens.data, 1.0);
+    let mut bp = plan.make_scratch();
+    plan.backproject_acc(&ones_sino, 1.0, &mut bp, &mut sens.data);
 
     let mut x = Image::square(n);
     // start from a uniform positive image inside the disk
@@ -542,7 +675,7 @@ pub fn mlem_slice(sino: &Sinogram, geom: &Geometry, cfg: &IterConfig) -> Result<
             ratio.data[i] = sino.data[i] / fwd.data[i].max(1e-6);
         }
         corr.data.iter_mut().for_each(|v| *v = 0.0);
-        plan.backproject_acc(&ratio, &mut corr.data, 1.0);
+        plan.backproject_acc(&ratio, 1.0, &mut bp, &mut corr.data);
         for i in 0..x.data.len() {
             let s = sens.data[i].max(1e-6);
             x.data[i] *= corr.data[i] / s;
@@ -704,6 +837,48 @@ mod tests {
         let a = plan.sirt_slice_with(&sino, &mut scratch).unwrap();
         let b = plan.sirt_slice_with(&sino, &mut scratch).unwrap();
         assert_eq!(a, b, "dirty scratch must not leak into the next slice");
+    }
+
+    #[test]
+    fn ray_table_past_u32_offsets_is_refused_not_wrapped() {
+        // per-ray counts only: the table itself is never allocated
+        let fits = checked_ranges(&[5, 0, u32::MAX as usize - 5]).unwrap();
+        assert_eq!(fits, vec![(0, 5), (5, 5), (5, u32::MAX)]);
+        let err = checked_ranges(&[1 << 31, 7, 1 << 31]).unwrap_err();
+        match err {
+            TomoError::BadParameter(msg) => {
+                assert!(msg.contains("4294967303 samples"), "{msg}");
+                assert!(msg.contains("48 GiB"), "{msg}");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sirt_batch_matches_slice_at_a_time() {
+        let n = 24;
+        let truth = two_disk_phantom(n);
+        let geom = Geometry::parallel_180(13, n);
+        let base = forward_project(&truth, &geom);
+        let sinos: Vec<Sinogram> = (0..6)
+            .map(|z| {
+                let mut s = base.clone();
+                s.data.iter_mut().for_each(|v| *v *= 1.0 + 0.2 * z as f32);
+                s
+            })
+            .collect();
+        let cfg = IterConfig {
+            iterations: 6,
+            ..Default::default()
+        };
+        let plan = IterPlan::new(&geom, &cfg).unwrap();
+        let mut scratch = plan.make_scratch();
+        let mut batch = vec![f32::NAN; 6 * n * n];
+        plan.sirt_batch_into(&sinos, &mut scratch, &mut batch);
+        for (z, got) in batch.chunks_exact(n * n).enumerate() {
+            let alone = plan.sirt_slice_with(&sinos[z], &mut scratch).unwrap();
+            assert_eq!(alone.data.as_slice(), got, "slice {z}");
+        }
     }
 
     #[test]

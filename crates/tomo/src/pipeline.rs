@@ -22,7 +22,8 @@
 //! - **Fused prep**: a [`RawPrepPlan`] turns raw counts into line
 //!   integrals in a single in-place pass per row.
 //! - **Recon**: one shared plan ([`IterPlan`] or [`ReconPlan`]) built
-//!   once per scan; slices within a slab are parallelized over the
+//!   once per scan; a slab is cut into engine-sized batches (one slice
+//!   for FBP, one lane group of slices for SIRT) parallelized over the
 //!   vendored rayon work queue with per-worker scratch.
 //! - **Sink**: writers run on a dedicated I/O thread fed by a bounded
 //!   channel, so disk writes overlap the next slab's compute. Slabs
@@ -40,6 +41,7 @@ use crate::image::Sinogram;
 use crate::iterative::{IterConfig, IterPlan, IterScratch};
 use crate::plan::{ReconPlan, ReconScratch};
 use crate::prep::RawPrepPlan;
+use crate::simd::SLICE_LANES;
 use crate::TomoError;
 use als_telemetry::Registry;
 use rayon::prelude::*;
@@ -215,18 +217,36 @@ impl Engine {
         }
     }
 
-    fn recon_into(&self, sino: &Sinogram, scratch: &mut Scratch, out: &mut [f32]) {
+    /// Slices one work-queue item reconstructs: SIRT advances a lane
+    /// group of slices per table walk, FBP works slice by slice.
+    fn batch_slices(&self) -> usize {
+        match self {
+            Engine::Sirt(_) => SLICE_LANES,
+            Engine::Fbp(_) => 1,
+        }
+    }
+
+    /// Default slab height. FBP: enough slices to keep the work queue
+    /// fed on small machines without ballooning the bounded-channel
+    /// memory. SIRT: one full batch per worker, so no worker walks the
+    /// ray table for idle lanes.
+    fn default_slab_rows(&self) -> usize {
+        match self {
+            Engine::Sirt(_) => SLICE_LANES * rayon::current_num_threads(),
+            Engine::Fbp(_) => 4,
+        }
+    }
+
+    /// Reconstruct one batch (`sinos.len() <= batch_slices()`) into the
+    /// matching run of output slices.
+    fn recon_into(&self, sinos: &[Sinogram], scratch: &mut Scratch, out: &mut [f32]) {
         match (self, scratch) {
-            (Engine::Sirt(p), Scratch::Sirt(s)) => p.sirt_into(sino, s, out),
-            (Engine::Fbp(p), Scratch::Fbp(s)) => p.fbp_slice_into(sino, s, out),
+            (Engine::Sirt(p), Scratch::Sirt(s)) => p.sirt_batch_into(sinos, s, out),
+            (Engine::Fbp(p), Scratch::Fbp(s)) => p.fbp_slice_into(&sinos[0], s, out),
             _ => unreachable!("scratch kind always matches engine kind"),
         }
     }
 }
-
-/// Default slab height: enough slices to keep the work queue fed on
-/// small machines without ballooning the bounded-channel memory.
-const DEFAULT_SLAB_ROWS: usize = 4;
 
 /// Reconstruct an entire scan through the overlapped pipeline, fanning
 /// the z-ordered output slabs out to every sink.
@@ -286,7 +306,7 @@ pub fn run(
     let plan_build = t0.elapsed();
 
     let slab_rows = if cfg.slab_rows == 0 {
-        DEFAULT_SLAB_ROWS
+        engine.default_slab_rows()
     } else {
         cfg.slab_rows
     }
@@ -457,10 +477,16 @@ pub fn run(
             recon_active.inc();
             let t = Instant::now();
             let mut out = vec![0.0f32; k * cols * cols];
-            out.par_chunks_mut(cols * cols).enumerate().for_each_init(
-                || engine.make_scratch(),
-                |scratch, (i, slice)| engine.recon_into(&sinos[i], scratch, slice),
-            );
+            let batch = engine.batch_slices();
+            out.par_chunks_mut(batch * cols * cols)
+                .enumerate()
+                .for_each_init(
+                    || engine.make_scratch(),
+                    |scratch, (i, slices)| {
+                        let batch_sinos = &sinos[i * batch..k.min((i + 1) * batch)];
+                        engine.recon_into(batch_sinos, scratch, slices)
+                    },
+                );
             let dt = t.elapsed();
             recon_active.dec();
             recon_busy += dt;
@@ -616,6 +642,35 @@ mod tests {
         (sink.into_data(), report)
     }
 
+    /// The scan's geometry as `run` derives it, and a prep plan without
+    /// a post-stage: what a slice-at-a-time reference needs.
+    fn slicewise_reference(scan: &MemScan, cfg: &PipelineConfig) -> (Geometry, RawPrepPlan) {
+        let geom = Geometry {
+            angles: scan.scan_angles(),
+            n_det: scan.cols,
+            center: (scan.cols as f64 - 1.0) / 2.0,
+        };
+        let prep = RawPrepPlan::new(
+            &scan.dark,
+            &scan.flat,
+            scan.rows,
+            scan.cols,
+            cfg.mu_scale,
+            cfg.zinger_threshold,
+        );
+        (geom, prep)
+    }
+
+    /// Detector row `r` of every frame, prepped into one sinogram.
+    fn prepped_sinogram(scan: &MemScan, prep: &RawPrepPlan, r: usize) -> Sinogram {
+        let mut sino = Sinogram::zeros(scan.n_angles, scan.cols);
+        for a in 0..scan.n_angles {
+            let f = &scan.frames[a][r * scan.cols..(r + 1) * scan.cols];
+            prep.prep_angle_row(r, f, sino.row_mut(a));
+        }
+        sino
+    }
+
     #[test]
     fn pipeline_matches_slicewise_reference_fbp() {
         let scan = MemScan::synthetic(12, 6, 24);
@@ -632,27 +687,11 @@ mod tests {
         assert_eq!(report.slabs, 2);
 
         // per-slice reference: same prep plan, same recon plan, serial
-        let geom = Geometry {
-            angles: scan.scan_angles(),
-            n_det: scan.cols,
-            center: (scan.cols as f64 - 1.0) / 2.0,
-        };
-        let prep = RawPrepPlan::new(
-            &scan.dark,
-            &scan.flat,
-            scan.rows,
-            scan.cols,
-            cfg.mu_scale,
-            cfg.zinger_threshold,
-        );
+        let (geom, prep) = slicewise_reference(&scan, &cfg);
         let plan = ReconPlan::new(&geom, &FbpConfig::default()).unwrap();
         let mut scratch = plan.make_scratch();
         for r in 0..scan.rows {
-            let mut sino = Sinogram::zeros(scan.n_angles, scan.cols);
-            for a in 0..scan.n_angles {
-                let f = &scan.frames[a][r * scan.cols..(r + 1) * scan.cols];
-                prep.prep_angle_row(r, f, sino.row_mut(a));
-            }
+            let sino = prepped_sinogram(&scan, &prep, r);
             let img = plan.fbp_slice_with(&sino, &mut scratch).unwrap();
             let got = &vol[r * scan.cols * scan.cols..(r + 1) * scan.cols * scan.cols];
             assert_eq!(img.data.as_slice(), got, "slice {r}");
@@ -661,27 +700,53 @@ mod tests {
 
     #[test]
     fn slab_size_does_not_change_output() {
-        let scan = MemScan::synthetic(10, 5, 20);
-        let base_cfg = PipelineConfig {
-            recon: ReconKind::Sirt(IterConfig {
-                iterations: 5,
-                ..Default::default()
-            }),
-            mu_scale: 0.04,
-            zinger_threshold: Some(0.5),
-            slab_rows: 1,
-            queue_depth: 1,
+        // every way the slab / lane-batch / worker grid can fall: slabs
+        // shorter than, equal to and longer than a SIRT lane batch,
+        // padded tail batches, more workers than batches — against the
+        // plain slice-at-a-time solve of the same sinograms
+        let iter_cfg = IterConfig {
+            iterations: 5,
             ..Default::default()
         };
-        let (v1, _) = run_volume(&scan, &base_cfg);
-        for slab_rows in [2, 3, 5] {
+        for rows in [1usize, 3, 5, 9] {
+            let scan = MemScan::synthetic(10, rows, 20);
             let cfg = PipelineConfig {
-                slab_rows,
-                queue_depth: 3,
-                ..base_cfg.clone()
+                recon: ReconKind::Sirt(iter_cfg),
+                mu_scale: 0.04,
+                zinger_threshold: Some(0.5),
+                ..Default::default()
             };
-            let (v, _) = run_volume(&scan, &cfg);
-            assert_eq!(v1, v, "slab_rows {slab_rows} changed the output");
+            let (geom, prep) = slicewise_reference(&scan, &cfg);
+            let plan = IterPlan::new(&geom, &iter_cfg).unwrap();
+            let mut scratch = plan.make_scratch();
+            let mut expected = Vec::new();
+            for r in 0..rows {
+                let sino = prepped_sinogram(&scan, &prep, r);
+                expected.extend(plan.sirt_slice_with(&sino, &mut scratch).unwrap().data);
+            }
+            for threads in [1, 2, 3] {
+                rayon::set_num_threads(threads);
+                for slab_rows in [0, 1, 2, 3, rows] {
+                    for queue_depth in [1, 3] {
+                        let cfg = PipelineConfig {
+                            slab_rows,
+                            queue_depth,
+                            ..cfg.clone()
+                        };
+                        let (v, report) = run_volume(&scan, &cfg);
+                        assert_eq!(
+                            expected, v,
+                            "rows {rows} slab_rows {slab_rows} threads {threads} changed the output"
+                        );
+                        if slab_rows == 0 {
+                            // SIRT default: one full lane batch per worker
+                            let slab = (SLICE_LANES * threads).min(rows);
+                            assert_eq!(report.slabs, rows.div_ceil(slab));
+                        }
+                    }
+                }
+            }
+            rayon::set_num_threads(0);
         }
     }
 
@@ -702,27 +767,11 @@ mod tests {
 
         // per-slice reference: same prep plan + the unfused
         // remove_stripes → paganin_filter chain, then the same recon plan
-        let geom = Geometry {
-            angles: scan.scan_angles(),
-            n_det: scan.cols,
-            center: (scan.cols as f64 - 1.0) / 2.0,
-        };
-        let prep = RawPrepPlan::new(
-            &scan.dark,
-            &scan.flat,
-            scan.rows,
-            scan.cols,
-            cfg.mu_scale,
-            cfg.zinger_threshold,
-        );
+        let (geom, prep) = slicewise_reference(&scan, &cfg);
         let plan = ReconPlan::new(&geom, &FbpConfig::default()).unwrap();
         let mut scratch = plan.make_scratch();
         for r in 0..scan.rows {
-            let mut sino = Sinogram::zeros(scan.n_angles, scan.cols);
-            for a in 0..scan.n_angles {
-                let f = &scan.frames[a][r * scan.cols..(r + 1) * scan.cols];
-                prep.prep_angle_row(r, f, sino.row_mut(a));
-            }
+            let sino = prepped_sinogram(&scan, &prep, r);
             let sino = crate::prep::remove_stripes(&sino, 5);
             let sino = crate::prep::paganin_filter(&sino, 30.0);
             let img = plan.fbp_slice_with(&sino, &mut scratch).unwrap();
@@ -804,7 +853,10 @@ mod tests {
         let busy_us = snap.counters["pipeline_sink_busy_us_total"];
         let overlap_us = snap.counters["pipeline_sink_overlapped_us_total"];
         assert!(overlap_us <= busy_us);
-        assert_eq!(overlap_us, report.sink_busy_overlapped.as_micros() as u64);
+        // the counter truncates every write to whole microseconds, the
+        // report truncates their sum
+        let reported = report.sink_busy_overlapped.as_micros() as u64;
+        assert!(reported - overlap_us <= report.slabs as u64);
     }
 
     #[test]

@@ -176,22 +176,35 @@ impl ReconPlan {
 
     /// Accumulate the backprojection of `sino` into `out` (`n_det²`
     /// pixels, row-major), weighting every angle by `scale`. Pixels
-    /// outside the plan's row extents are untouched. Allocates the
-    /// prescale buffer internally; hot loops should go through
-    /// [`ReconPlan::fbp_slice_into`], which reuses scratch.
-    pub fn backproject_acc(&self, sino: &Sinogram, out: &mut [f32], scale: f64) {
-        let mut rowsf = vec![0.0f32; self.geom.n_angles() * (self.geom.n_det + 1)];
-        prescale_sino(sino, scale, &mut rowsf);
-        self.backproject_prescaled(&rowsf, out);
+    /// outside the plan's row extents are untouched. The prescaled rows
+    /// are staged in `scratch`, so a solver calling this once per
+    /// iteration allocates nothing.
+    pub fn backproject_acc(
+        &self,
+        sino: &Sinogram,
+        scale: f64,
+        scratch: &mut ReconScratch,
+        out: &mut [f32],
+    ) {
+        prescale_sino(sino, scale, &mut scratch.rowsf);
+        self.backproject_prescaled(&scratch.rowsf, out);
     }
 
     /// Accumulate the backprojection of a single projection row (angle
-    /// index `a` of the plan's geometry) into `out`.
-    pub fn backproject_angle_acc(&self, row: &[f32], a: usize, out: &mut [f32], scale: f64) {
+    /// index `a` of the plan's geometry) into `out`, staging the
+    /// prescaled row in `scratch`.
+    pub fn backproject_angle_acc(
+        &self,
+        row: &[f32],
+        a: usize,
+        scale: f64,
+        scratch: &mut ReconScratch,
+        out: &mut [f32],
+    ) {
         let n = self.geom.n_det;
-        debug_assert_eq!(out.len(), n * n);
-        let mut rowf = vec![0.0f32; n + 1];
-        prescale_row(row, scale, &mut rowf);
+        assert_eq!(out.len(), n * n, "output buffer size mismatch");
+        let rowf = &mut scratch.rowsf[..n + 1];
+        prescale_row(row, scale, rowf);
         let (_, cos_t) = self.trig[a];
         let c = (n as f64 - 1.0) / 2.0;
         for y in 0..n {
@@ -203,7 +216,7 @@ impl ReconPlan {
             let t0 = self.t_start(a, y, xa, c);
             crate::simd::backproject_row(
                 self.path,
-                &rowf,
+                rowf,
                 t0,
                 cos_t,
                 &mut out[y * n + xa..y * n + xb],
@@ -222,19 +235,50 @@ impl ReconPlan {
     }
 
     /// Backproject a whole prescaled sinogram (`rowsf` as produced by
-    /// [`prescale_sino`]) into `out`, tiled over blocks of output rows:
-    /// the loop order is tile → angle → row, so the `tile × n_det`
-    /// output block being accumulated stays cache-resident while every
-    /// sinogram row streams over it once per tile, and each output
-    /// pixel still sums its angles in ascending order (the result is
-    /// numerically identical to the untiled sweep).
+    /// [`prescale_sino`]) into `out`.
     fn backproject_prescaled(&self, rowsf: &[f32], out: &mut [f32]) {
+        self.backproject_tiled(1, rowsf, out, crate::simd::backproject_row);
+    }
+
+    /// [`ReconPlan::backproject_prescaled`] over `SLICE_LANES`
+    /// pixel-interleaved slices at once (`rows4[(a·(n_det+1) + t)·L +
+    /// lane]`, sentinel column included; `out4[pixel·L + lane]`): every
+    /// `(angle, row)` interval and detector coordinate is solved once
+    /// per batch of slices instead of once per slice.
+    pub(crate) fn backproject_lanes(&self, rows4: &[f32], out4: &mut [f32]) {
+        self.backproject_tiled(
+            crate::simd::SLICE_LANES,
+            rows4,
+            out4,
+            crate::simd::backproject_row_lanes,
+        );
+    }
+
+    /// The backprojection sweep shared by the per-slice and the
+    /// slice-interleaved kernels, `lanes` values per pixel and detector
+    /// bin. Tiled over blocks of output rows: the loop order is tile →
+    /// angle → row, so the output block being accumulated stays
+    /// cache-resident while every sinogram row streams over it once
+    /// per tile, and each output pixel still sums its angles in
+    /// ascending order (the result is numerically identical to the
+    /// untiled sweep).
+    fn backproject_tiled(
+        &self,
+        lanes: usize,
+        rowsf: &[f32],
+        out: &mut [f32],
+        row_kernel: impl Fn(crate::simd::SimdPath, &[f32], f64, f64, &mut [f32]),
+    ) {
         let n = self.geom.n_det;
-        let stride = n + 1;
-        debug_assert_eq!(out.len(), n * n);
-        debug_assert_eq!(rowsf.len(), self.trig.len() * stride);
+        let stride = (n + 1) * lanes;
+        assert_eq!(out.len(), n * n * lanes, "output buffer size mismatch");
+        assert_eq!(
+            rowsf.len(),
+            self.trig.len() * stride,
+            "projection rows do not match the plan geometry"
+        );
         let c = (n as f64 - 1.0) / 2.0;
-        let tile = tile_rows(n);
+        let tile = tile_rows(n * lanes);
         let mut y0 = 0usize;
         while y0 < n {
             let y1 = (y0 + tile).min(n);
@@ -248,12 +292,12 @@ impl ReconPlan {
                     }
                     let yr = y as f64 - c;
                     let t0 = (xa as f64 - c) * cos_t + (yr * sin_t + self.geom.center);
-                    crate::simd::backproject_row(
+                    row_kernel(
                         self.path,
                         rowf,
                         t0,
                         cos_t,
-                        &mut out[y * n + xa..y * n + xb],
+                        &mut out[(y * n + xa) * lanes..(y * n + xb) * lanes],
                     );
                 }
             }
@@ -352,11 +396,11 @@ fn prescale_sino(sino: &Sinogram, scale: f64, rowsf: &mut [f32]) {
     }
 }
 
-/// Output rows per backprojection tile: sized so the `tile × n_det`
-/// f32 block under accumulation fits comfortably in L1 (32 KiB),
-/// floored at 8 rows so small images stay a single sweep.
-fn tile_rows(n: usize) -> usize {
-    (8192 / n.max(1)).clamp(8, 64)
+/// Output rows per backprojection tile for rows of `row_len` f32s:
+/// sized so the block under accumulation fits comfortably in L1
+/// (32 KiB), floored at 8 rows so small images stay a single sweep.
+fn tile_rows(row_len: usize) -> usize {
+    (8192 / row_len.max(1)).clamp(8, 64)
 }
 
 /// Per-`(angle, row)` clip intervals: the half-open `x` range whose
@@ -683,6 +727,38 @@ mod tests {
         let a = plan.fbp_slice_with(&sino, &mut scratch).unwrap();
         let b = plan.fbp_slice_with(&sino, &mut scratch).unwrap();
         assert_eq!(a, b, "dirty scratch must not leak into the next slice");
+    }
+
+    #[test]
+    fn accumulating_backprojectors_ignore_what_the_scratch_held() {
+        // ART calls `backproject_angle_acc` angles × iterations times
+        // and MLEM `backproject_acc` once per iteration through one
+        // scratch: a reused (dirty) staging buffer must give the bits
+        // a freshly allocated one does
+        let n = 29;
+        let geom = Geometry::parallel_180(11, n);
+        let sino = forward_project(&disk_image(n, 9.0, 1.0), &geom);
+        for mask_disk in [true, false] {
+            let cfg = FbpConfig {
+                filter: FilterKind::None,
+                mask_disk,
+            };
+            let plan = ReconPlan::new(&geom, &cfg).unwrap();
+            let mut dirty = plan.make_scratch();
+            dirty.rowsf.fill(f32::NAN);
+            let (mut a, mut b) = (vec![0.25f32; n * n], vec![0.25f32; n * n]);
+            plan.backproject_acc(&sino, 0.7, &mut dirty, &mut a);
+            plan.backproject_acc(&sino, 0.7, &mut plan.make_scratch(), &mut b);
+            assert_eq!(a, b, "backproject_acc, mask_disk {mask_disk}");
+            for angle in 0..geom.n_angles() {
+                dirty.rowsf.fill(f32::NAN);
+                plan.backproject_angle_acc(sino.row(angle), angle, 1.3, &mut dirty, &mut a);
+                let mut fresh = plan.make_scratch();
+                plan.backproject_angle_acc(sino.row(angle), angle, 1.3, &mut fresh, &mut b);
+                assert_eq!(a, b, "backproject_angle_acc {angle}, mask_disk {mask_disk}");
+            }
+            assert!(a.iter().all(|v| v.is_finite()));
+        }
     }
 
     #[test]

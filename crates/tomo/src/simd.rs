@@ -22,11 +22,19 @@
 //! the scalar path and the pre-plan reference at ≤1e-5 RMSE by
 //! `tests/plan_equivalence.rs`.
 //!
+//! The iterative engine's kernels ([`ray_sums_lanes`],
+//! [`backproject_row_lanes`]) vectorize across *slices* instead of
+//! along a row: four slices are stored pixel-interleaved, the index
+//! and weight math of a sample or pixel is done once, and each lane
+//! repeats the per-slice kernel's arithmetic of the same path exactly,
+//! so a lane is **bit-identical** to reconstructing that slice alone.
+//!
 //! Set `ALS_TOMO_SIMD=scalar` in the environment to force the scalar
 //! path regardless of CPU features (used by benches to measure the
 //! fallback on wide hosts).
 
 use crate::fft::Complex;
+use crate::iterative::RaySample;
 
 /// Which kernel family plans dispatch to. Ordered: later variants are
 /// strictly wider.
@@ -104,6 +112,9 @@ pub fn lanes(path: SimdPath) -> usize {
 /// `[0, n_det − 1]` (up to rounding the sentinel absorbs).
 #[inline]
 pub(crate) fn backproject_row(path: SimdPath, rowf: &[f32], t0: f64, step: f64, out: &mut [f32]) {
+    // the kernels clamp indices to `rowf.len() − 2`, so a row without
+    // its sentinel would turn the unchecked reads below into UB
+    assert!(rowf.len() >= 2, "projection row lacks its sentinel");
     match path {
         SimdPath::Scalar => backproject_row_scalar(rowf, t0, step, out),
         #[cfg(target_arch = "x86_64")]
@@ -179,6 +190,224 @@ unsafe fn backproject_row_avx2(rowf: &[f32], t0: f64, step: f64, out: &mut [f32]
         k += 8;
     }
     backproject_row_scalar(rowf, t0 + k as f64 * step, step, &mut out[k..]);
+}
+
+// ---------------------------------------------------------------------------
+// Slice-interleaved lane kernels (iterative engine)
+// ---------------------------------------------------------------------------
+
+/// Slices the iterative engine advances per table walk. Its buffers are
+/// pixel-interleaved (`buf[pixel * SLICE_LANES + lane]`), so the values
+/// one table sample or one detector coordinate touches in every slice
+/// are one contiguous 128-bit load — no gather.
+pub(crate) const SLICE_LANES: usize = 4;
+
+/// Line integrals of `SLICE_LANES` interleaved `w`-wide images along
+/// one ray of the forward-projection table. Each lane performs exactly
+/// the scalar projector's f64 sequence (two accumulators over sample
+/// pairs, unfused multiply/add), so every lane is bit-identical to
+/// [`crate::IterPlan::forward_into`] on that slice alone, on either
+/// path.
+///
+/// Panics if a sample's 2×2 footprint (`idx`, `idx + 1`, `idx + w`,
+/// `idx + w + 1`) leaves the image.
+#[inline]
+pub(crate) fn ray_sums_lanes(
+    path: SimdPath,
+    samples: &[RaySample],
+    w: usize,
+    x4: &[f32],
+) -> [f32; SLICE_LANES] {
+    match path {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2 is only selected when the host reports the features.
+        SimdPath::Avx2 => unsafe { ray_sums_lanes_avx2(samples, w, x4) },
+        _ => ray_sums_lanes_scalar(samples, w, x4),
+    }
+}
+
+fn ray_sums_lanes_scalar(samples: &[RaySample], w: usize, x4: &[f32]) -> [f32; SLICE_LANES] {
+    const L: usize = SLICE_LANES;
+    #[inline(always)]
+    fn add_sample(s: &RaySample, w: usize, x4: &[f32], acc: &mut [f64; L]) {
+        let i = s.idx as usize * L;
+        let top = &x4[i..i + 2 * L];
+        let bot = &x4[i + w * L..i + (w + 2) * L];
+        let (fx, fy) = (s.fx as f64, s.fy as f64);
+        for l in 0..L {
+            let t = top[l] as f64 + fx * (top[L + l] as f64 - top[l] as f64);
+            let u = bot[l] as f64 + fx * (bot[L + l] as f64 - bot[l] as f64);
+            acc[l] += t + fy * (u - t);
+        }
+    }
+    let mut acc0 = [0.0f64; L];
+    let mut acc1 = [0.0f64; L];
+    let mut it = samples.chunks_exact(2);
+    for pair in &mut it {
+        add_sample(&pair[0], w, x4, &mut acc0);
+        add_sample(&pair[1], w, x4, &mut acc1);
+    }
+    for s in it.remainder() {
+        add_sample(s, w, x4, &mut acc0);
+    }
+    std::array::from_fn(|l| (acc0[l] + acc1[l]) as f32)
+}
+
+/// One table sample per iteration, all four slices at once: four
+/// `f32×4 → f64×4` loads (the 2×2 footprint), then the scalar
+/// projector's sub/mul/add sequence in 256-bit f64 lanes — no FMA, so
+/// each lane rounds exactly like the scalar path.
+///
+/// # Safety
+/// Caller must ensure the host supports AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn ray_sums_lanes_avx2(samples: &[RaySample], w: usize, x4: &[f32]) -> [f32; SLICE_LANES] {
+    use std::arch::x86_64::*;
+    const L: usize = SLICE_LANES;
+
+    /// # Safety
+    /// Host supports AVX2; `s.idx + w + 1 < npix` and `base` points at
+    /// `npix * L` readable f32s.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn sample(s: &RaySample, w: usize, base: *const f32) -> __m256d {
+        let p = base.add(s.idx as usize * L);
+        let q = p.add(w * L);
+        let p00 = _mm256_cvtps_pd(_mm_loadu_ps(p));
+        let p01 = _mm256_cvtps_pd(_mm_loadu_ps(p.add(L)));
+        let p10 = _mm256_cvtps_pd(_mm_loadu_ps(q));
+        let p11 = _mm256_cvtps_pd(_mm_loadu_ps(q.add(L)));
+        let fx = _mm256_set1_pd(s.fx as f64);
+        let fy = _mm256_set1_pd(s.fy as f64);
+        let t = _mm256_add_pd(p00, _mm256_mul_pd(fx, _mm256_sub_pd(p01, p00)));
+        let u = _mm256_add_pd(p10, _mm256_mul_pd(fx, _mm256_sub_pd(p11, p10)));
+        _mm256_add_pd(t, _mm256_mul_pd(fy, _mm256_sub_pd(u, t)))
+    }
+
+    let npix = x4.len() / L;
+    let base = x4.as_ptr();
+    // the bounds check every unchecked load below relies on
+    let in_image = |s: &RaySample| s.idx as usize + w + 1 < npix;
+    let mut acc0 = _mm256_setzero_pd();
+    let mut acc1 = _mm256_setzero_pd();
+    let mut it = samples.chunks_exact(2);
+    for pair in &mut it {
+        assert!(
+            in_image(&pair[0]) && in_image(&pair[1]),
+            "ray sample outside the image"
+        );
+        // SAFETY: both footprints were just checked against `npix`.
+        acc0 = _mm256_add_pd(acc0, sample(&pair[0], w, base));
+        acc1 = _mm256_add_pd(acc1, sample(&pair[1], w, base));
+    }
+    for s in it.remainder() {
+        assert!(in_image(s), "ray sample outside the image");
+        // SAFETY: footprint checked against `npix`.
+        acc0 = _mm256_add_pd(acc0, sample(s, w, base));
+    }
+    let mut out = [0.0f32; L];
+    _mm_storeu_ps(out.as_mut_ptr(), _mm256_cvtpd_ps(_mm256_add_pd(acc0, acc1)));
+    out
+}
+
+/// [`backproject_row`] over `SLICE_LANES` interleaved slices: `rowf4`
+/// is the interleaved projection row including its sentinel column
+/// (`(n_det + 1) · SLICE_LANES` entries), `out4` the interleaved span of
+/// output pixels. The detector coordinate, index and weight of a pixel
+/// are computed once and spent on every lane; each lane's arithmetic
+/// is exactly [`backproject_row`]'s on the same path (8-pixel chunks
+/// with an FMA lerp and an unfused scalar tail on AVX2, unfused
+/// throughout on the scalar path), so lanes are bit-identical to the
+/// per-slice kernel.
+#[inline]
+pub(crate) fn backproject_row_lanes(
+    path: SimdPath,
+    rowf4: &[f32],
+    t0: f64,
+    step: f64,
+    out4: &mut [f32],
+) {
+    const L: usize = SLICE_LANES;
+    // indices are clamped to `n_det − 1`, so every read stays inside
+    // `rowf4` exactly when the sentinel column is present
+    assert!(
+        rowf4.len() >= 2 * L && rowf4.len() % L == 0,
+        "interleaved row lacks its sentinel"
+    );
+    assert!(out4.len() % L == 0, "interleaved span is not whole pixels");
+    match path {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2 is only selected when the host reports the
+        // features; the row/span shape was asserted above.
+        SimdPath::Avx2 => unsafe { backproject_row_lanes_avx2(rowf4, t0, step, out4) },
+        _ => backproject_row_lanes_scalar(rowf4, t0, step, out4),
+    }
+}
+
+fn backproject_row_lanes_scalar(rowf4: &[f32], t0: f64, step: f64, out4: &mut [f32]) {
+    const L: usize = SLICE_LANES;
+    let last = rowf4.len() / L - 2;
+    for (k, o) in out4.chunks_exact_mut(L).enumerate() {
+        let t = t0 + k as f64 * step;
+        let i = (t as usize).min(last);
+        let f = (t - i as f64) as f32;
+        let pair = &rowf4[i * L..(i + 2) * L];
+        for l in 0..L {
+            o[l] += pair[l] + f * (pair[L + l] - pair[l]);
+        }
+    }
+}
+
+/// Same index/weight math as [`backproject_row_avx2`] for 8 pixels at
+/// a time; per pixel the two lerp endpoints of all four slices are two
+/// adjacent 128-bit loads and the lerp is one FMA.
+///
+/// # Safety
+/// Caller must ensure the host supports AVX2 and FMA, `rowf4` holds at
+/// least two whole pixels and `out4` whole pixels.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn backproject_row_lanes_avx2(rowf4: &[f32], t0: f64, step: f64, out4: &mut [f32]) {
+    use std::arch::x86_64::*;
+    const L: usize = SLICE_LANES;
+    let n = out4.len() / L;
+    let last = rowf4.len() / L - 2;
+    let base = rowf4.as_ptr();
+    let stepv = _mm256_set1_pd(step);
+    let offs_lo = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+    let offs_hi = _mm256_setr_pd(4.0, 5.0, 6.0, 7.0);
+    let imax = _mm_set1_epi32(last as i32);
+    let izero = _mm_setzero_si128();
+    let mut idx = [0i32; 8];
+    let mut frac = [0.0f32; 8];
+    let mut k = 0usize;
+    while k + 8 <= n {
+        let tk = _mm256_set1_pd(t0 + k as f64 * step);
+        let t_lo = _mm256_add_pd(tk, _mm256_mul_pd(offs_lo, stepv));
+        let t_hi = _mm256_add_pd(tk, _mm256_mul_pd(offs_hi, stepv));
+        let i_lo = _mm_min_epi32(_mm_max_epi32(_mm256_cvttpd_epi32(t_lo), izero), imax);
+        let i_hi = _mm_min_epi32(_mm_max_epi32(_mm256_cvttpd_epi32(t_hi), izero), imax);
+        let f_lo = _mm256_cvtpd_ps(_mm256_sub_pd(t_lo, _mm256_cvtepi32_pd(i_lo)));
+        let f_hi = _mm256_cvtpd_ps(_mm256_sub_pd(t_hi, _mm256_cvtepi32_pd(i_hi)));
+        _mm_storeu_si128(idx.as_mut_ptr().cast(), i_lo);
+        _mm_storeu_si128(idx.as_mut_ptr().add(4).cast(), i_hi);
+        _mm_storeu_ps(frac.as_mut_ptr(), f_lo);
+        _mm_storeu_ps(frac.as_mut_ptr().add(4), f_hi);
+        let dst = out4.as_mut_ptr().add(k * L);
+        for j in 0..8 {
+            // idx[j] ∈ [0, last] after the clamp and last + 1 is the
+            // sentinel pixel, so both loads stay inside `rowf4`
+            let p = base.add(idx[j] as usize * L);
+            let lo = _mm_loadu_ps(p);
+            let hi = _mm_loadu_ps(p.add(L));
+            let lerp = _mm_fmadd_ps(_mm_set1_ps(frac[j]), _mm_sub_ps(hi, lo), lo);
+            let d = dst.add(j * L);
+            _mm_storeu_ps(d, _mm_add_ps(_mm_loadu_ps(d), lerp));
+        }
+        k += 8;
+    }
+    backproject_row_lanes_scalar(rowf4, t0 + k as f64 * step, step, &mut out4[k * L..]);
 }
 
 // ---------------------------------------------------------------------------
@@ -336,20 +565,211 @@ mod tests {
         assert_eq!(lanes(SimdPath::Avx2), 8);
     }
 
+    /// Output-span lengths the kernel differentials sweep: every tail
+    /// length around the 8- and 16-pixel chunk boundaries, then longer
+    /// odd, even and benchmark-sized rows.
+    const SPAN_LENS: [usize; 21] = [
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 33, 96,
+    ];
+    const N_DET: usize = 40;
+    /// NaN guard entries around every buffer handed to a kernel: a read
+    /// past the sentinel (or before the row) poisons the output.
+    const GUARD: usize = 3;
+
+    /// `(t0, step)` walks of `len` pixels that stay on the detector
+    /// `[0, N_DET − 1]`: both edges as start points, ascending,
+    /// descending and zero steps.
+    fn detector_walks(len: usize) -> Vec<(f64, f64)> {
+        let last = (N_DET - 1) as f64;
+        let room = len.max(1) as f64;
+        vec![
+            (0.0, (last / room).min(0.83)),
+            (last, -(last / room).min(0.91)),
+            (0.3, ((last - 0.3) / room).min(0.71)),
+            (0.0, 0.0),
+            (last, 0.0),
+            (17.25, -0.0),
+        ]
+    }
+
+    /// One projection row per lane with its sentinel, each wrapped in
+    /// NaN guards; `.1` is the row's range inside the guarded buffer.
+    fn guarded_row(lane: usize) -> (Vec<f32>, std::ops::Range<usize>) {
+        let mut buf = vec![f32::NAN; GUARD];
+        buf.extend((0..N_DET).map(|i| ((i * (lane + 2)) as f32 * 0.37).sin() + lane as f32));
+        buf.push(0.0);
+        buf.extend([f32::NAN; GUARD]);
+        (buf, GUARD..GUARD + N_DET + 1)
+    }
+
     #[test]
     fn backproject_row_paths_agree() {
-        let n = 37;
-        let rowf: Vec<f32> = (0..n)
-            .map(|i| ((i as f32) * 0.37).sin())
-            .chain(std::iter::once(0.0))
+        let (buf, row) = guarded_row(0);
+        for len in SPAN_LENS {
+            for (t0, step) in detector_walks(len) {
+                // unaligned spans: the output starts 0..3 floats into
+                // its allocation, and the floats around it must survive
+                for lead in 0..3 {
+                    let mut a = vec![0.5f32; lead + len + 2];
+                    let mut b = a.clone();
+                    let span = lead..lead + len;
+                    backproject_row(
+                        SimdPath::Scalar,
+                        &buf[row.clone()],
+                        t0,
+                        step,
+                        &mut a[span.clone()],
+                    );
+                    backproject_row(detect(), &buf[row.clone()], t0, step, &mut b[span.clone()]);
+                    for (k, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+                        assert!(
+                            x.is_finite() && (x - y).abs() < 1e-5,
+                            "pixel {k}: {x} vs {y} (len {len} t0 {t0} step {step})"
+                        );
+                        assert!(
+                            span.contains(&k) || (*x == 0.5 && *y == 0.5),
+                            "wrote outside the span"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn backproject_row_lanes_match_the_per_slice_kernel_bit_for_bit() {
+        const L: usize = SLICE_LANES;
+        let rows: Vec<_> = (0..L).map(guarded_row).collect();
+        // interleave the four rows, guards included
+        let guarded_len = rows[0].0.len();
+        let rowf4: Vec<f32> = (0..guarded_len * L).map(|i| rows[i % L].0[i / L]).collect();
+        let row4 = rows[0].1.start * L..rows[0].1.end * L;
+        for path in [SimdPath::Scalar, detect()] {
+            for len in SPAN_LENS {
+                for (t0, step) in detector_walks(len) {
+                    for lead in 0..3 {
+                        let seed = |k: usize, l: usize| 0.25 * l as f32 - 0.01 * k as f32;
+                        let mut out4: Vec<f32> = (0..(lead + len + 2) * L)
+                            .map(|i| seed(i / L, i % L))
+                            .collect();
+                        let span = lead..lead + len;
+                        backproject_row_lanes(
+                            path,
+                            &rowf4[row4.clone()],
+                            t0,
+                            step,
+                            &mut out4[span.start * L..span.end * L],
+                        );
+                        for (l, (buf, row)) in rows.iter().enumerate() {
+                            let mut out: Vec<f32> =
+                                (0..lead + len + 2).map(|k| seed(k, l)).collect();
+                            backproject_row(
+                                path,
+                                &buf[row.clone()],
+                                t0,
+                                step,
+                                &mut out[span.clone()],
+                            );
+                            for (k, want) in out.iter().enumerate() {
+                                let got = out4[k * L + l];
+                                assert!(got.is_finite());
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "{path:?} lane {l} pixel {k} (len {len} t0 {t0} step {step})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sentinel")]
+    fn backproject_row_rejects_a_row_without_sentinel() {
+        backproject_row(detect(), &[1.0], 0.0, 0.0, &mut [0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sentinel")]
+    fn backproject_row_lanes_rejects_a_row_without_sentinel() {
+        backproject_row_lanes(detect(), &[1.0; SLICE_LANES], 0.0, 0.0, &mut [0.0; 8]);
+    }
+
+    /// `count` table samples over a `w × h` image whose 2×2 footprints
+    /// reach every corner of it, the last pixel included.
+    fn table_samples(count: usize, w: usize, h: usize) -> Vec<RaySample> {
+        (0..count)
+            .map(|k| RaySample {
+                idx: (((k * 5) % (h - 1)) * w + (k * 7) % (w - 1)) as u32,
+                fx: ((k * 37) % 101) as f32 / 101.0,
+                fy: ((k * 53) % 103) as f32 / 103.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ray_sums_lanes_bit_exact_across_paths_and_against_one_slice() {
+        const L: usize = SLICE_LANES;
+        let (w, h) = (9usize, 7usize);
+        let x4: Vec<f32> = (0..w * h * L)
+            .map(|i| ((i / L) as f32 * 0.31 + (i % L) as f32).cos() * (1.0 + (i % L) as f32))
             .collect();
-        for &(t0, step, len) in &[(0.3f64, 0.71, 33usize), (35.2, -0.93, 36), (1.0, 0.0, 20)] {
-            let mut a = vec![0.5f32; len];
-            let mut b = a.clone();
-            backproject_row(SimdPath::Scalar, &rowf, t0, step, &mut a);
-            backproject_row(detect(), &rowf, t0, step, &mut b);
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert!((x - y).abs() < 1e-5, "{x} vs {y} (t0 {t0} step {step})");
+        let all = table_samples(97, w, h);
+        assert!(all.iter().any(|s| s.idx as usize + w + 1 == w * h - 1));
+        for len in SPAN_LENS {
+            // unaligned sub-slices of the 12-byte table
+            for lead in 0..2.min(all.len() - len) + 1 {
+                let samples = &all[lead..lead + len];
+                let scalar = ray_sums_lanes(SimdPath::Scalar, samples, w, &x4);
+                let wide = ray_sums_lanes(detect(), samples, w, &x4);
+                assert_eq!(
+                    scalar.map(f32::to_bits),
+                    wide.map(f32::to_bits),
+                    "len {len} lead {lead}"
+                );
+                // the one-slice projector's sequence, lane by lane
+                for l in 0..L {
+                    let px = |i: usize| x4[i * L + l] as f64;
+                    let term = |s: &RaySample| {
+                        let i = s.idx as usize;
+                        let (fx, fy) = (s.fx as f64, s.fy as f64);
+                        let t = px(i) + fx * (px(i + 1) - px(i));
+                        let u = px(i + w) + fx * (px(i + w + 1) - px(i + w));
+                        t + fy * (u - t)
+                    };
+                    let (mut acc0, mut acc1) = (0.0f64, 0.0f64);
+                    let mut it = samples.chunks_exact(2);
+                    for pair in &mut it {
+                        acc0 += term(&pair[0]);
+                        acc1 += term(&pair[1]);
+                    }
+                    for s in it.remainder() {
+                        acc0 += term(s);
+                    }
+                    assert_eq!(scalar[l].to_bits(), ((acc0 + acc1) as f32).to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ray_sums_lanes_refuses_a_sample_outside_the_image() {
+        let (w, h) = (9usize, 7usize);
+        let x4 = vec![1.0f32; w * h * SLICE_LANES];
+        // footprint one pixel past the end, alone and as half of a pair
+        let bad = RaySample {
+            idx: ((h - 1) * w) as u32,
+            fx: 0.5,
+            fy: 0.5,
+        };
+        let good = table_samples(1, w, h)[0];
+        for path in [SimdPath::Scalar, detect()] {
+            for samples in [vec![bad], vec![good, bad], vec![good, good, bad]] {
+                let r = std::panic::catch_unwind(|| ray_sums_lanes(path, &samples, w, &x4));
+                assert!(r.is_err(), "{path:?}: {} samples", samples.len());
             }
         }
     }

@@ -13,10 +13,10 @@ use als_phantom::shepp_logan_2d;
 use als_tomo::fft::{Complex, FftPlan};
 use als_tomo::gridrec::{gridrec_slice, GridrecConfig};
 use als_tomo::image::{Image, Sinogram};
-use als_tomo::radon::forward_project;
+use als_tomo::radon::{forward_project, in_recon_disk};
 use als_tomo::{
-    fbp_slice, reference, FbpConfig, FilterKind, FilterPlan, Geometry, PrepPlan, ReconPlan,
-    SimdPath,
+    fbp_slice, reference, FbpConfig, FilterKind, FilterPlan, Geometry, IterConfig, IterPlan,
+    PrepPlan, ReconPlan, SimdPath,
 };
 use proptest::prelude::*;
 
@@ -136,6 +136,195 @@ fn iterative_solvers_stay_close_to_reference_scheme() {
     .unwrap();
     let e = rmse(&rec, &truth);
     assert!(e < 0.2, "SIRT drifted from truth: rmse {e}");
+}
+
+/// Per-slice SIRT exactly as the library ran it before the
+/// slice-interleaved kernel — the former `IterPlan::sirt_into` loop
+/// body, kept here as the dev-only oracle: table forward projection of
+/// the one slice, residual over floored row sums, a fresh
+/// backprojection sweep, relaxed update over floored column sums,
+/// clamp, per-pixel disk test.
+struct SirtOracle {
+    cfg: IterConfig,
+    iter_plan: IterPlan,
+    plan: ReconPlan,
+    row_sums: Sinogram,
+    col_sums: Vec<f32>,
+}
+
+impl SirtOracle {
+    fn new(geom: &Geometry, cfg: &IterConfig, path: SimdPath) -> SirtOracle {
+        let n = geom.n_det;
+        let plan = ReconPlan::new(
+            geom,
+            &FbpConfig {
+                filter: FilterKind::None,
+                mask_disk: cfg.mask_disk,
+            },
+        )
+        .unwrap()
+        .with_simd_path(path);
+        let mut ones_img = Image::square(n);
+        ones_img.data.fill(1.0);
+        let mut row_sums = Sinogram::zeros(geom.n_angles(), n);
+        plan.forward_into(&ones_img, &mut row_sums);
+        let mut ones_sino = Sinogram::zeros(geom.n_angles(), n);
+        ones_sino.data.fill(1.0);
+        let mut col_sums = vec![0.0f32; n * n];
+        plan.backproject_acc(&ones_sino, 1.0, &mut plan.make_scratch(), &mut col_sums);
+        SirtOracle {
+            cfg: *cfg,
+            iter_plan: IterPlan::new(geom, cfg).unwrap(),
+            plan,
+            row_sums,
+            col_sums,
+        }
+    }
+
+    fn solve(&self, sino: &Sinogram) -> Vec<f32> {
+        let n = sino.n_det;
+        let mut out = vec![0.0f32; n * n];
+        let mut fwd = Sinogram::zeros(sino.n_angles, n);
+        let mut resid = Sinogram::zeros(sino.n_angles, n);
+        let mut update = vec![0.0f32; n * n];
+        let mut bp = self.plan.make_scratch();
+        for _ in 0..self.cfg.iterations {
+            self.iter_plan.forward_into(&out, &mut fwd);
+            for i in 0..resid.data.len() {
+                let r = self.row_sums.data[i].max(1e-6);
+                resid.data[i] = (sino.data[i] - fwd.data[i]) / r;
+            }
+            update.fill(0.0);
+            self.plan.backproject_acc(&resid, 1.0, &mut bp, &mut update);
+            for (i, o) in out.iter_mut().enumerate() {
+                let c = self.col_sums[i].max(1e-6);
+                *o += self.cfg.relaxation as f32 * update[i] / c;
+            }
+            if self.cfg.nonneg {
+                for v in out.iter_mut() {
+                    if *v < 0.0 {
+                        *v = 0.0;
+                    }
+                }
+            }
+            if self.cfg.mask_disk {
+                for y in 0..n {
+                    for x in 0..n {
+                        if !in_recon_disk(x, y, n) {
+                            out[y * n + x] = 0.0;
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
+/// `count` distinct sinograms of one geometry: the phantom's projection
+/// at a per-slice gain plus a deterministic ripple that dips below zero
+/// (so the non-negativity clamp has work to do).
+fn slice_stack(n: usize, n_angles: usize, count: usize) -> (Vec<Sinogram>, Geometry) {
+    let (base, geom) = shepp_sinogram(n, n_angles);
+    let sinos = (0..count)
+        .map(|z| {
+            let mut s = base.clone();
+            for (i, v) in s.data.iter_mut().enumerate() {
+                *v = *v * (0.6 + 0.1 * z as f32) + ((i * 31 + z * 17) % 13) as f32 * 0.05 - 0.3;
+            }
+            s
+        })
+        .collect();
+    (sinos, geom)
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn sirt_lanes_are_bit_identical_to_the_per_slice_oracle() {
+    // 2·LANES + 1 slices: every batch size from one live lane to two
+    // full batches and a one-lane tail
+    const MAX_BATCH: usize = 9;
+    for (n, n_angles) in [(37usize, 15usize), (48, 13), (96, 7)] {
+        let (sinos, geom) = slice_stack(n, n_angles, MAX_BATCH);
+        for path in [SimdPath::Scalar, SimdPath::Avx2] {
+            for (mask_disk, nonneg) in [(true, true), (true, false), (false, true), (false, false)]
+            {
+                // three iterations reach the general state (a clamped,
+                // masked, nonzero iterate projected forward again); the
+                // lanes stay identical from there by induction
+                let cfg = IterConfig {
+                    iterations: 3,
+                    relaxation: 0.9,
+                    nonneg,
+                    mask_disk,
+                };
+                let oracle = SirtOracle::new(&geom, &cfg, path);
+                let expected: Vec<Vec<u32>> =
+                    sinos.iter().map(|s| bits(&oracle.solve(s))).collect();
+                let plan = IterPlan::new(&geom, &cfg).unwrap().with_simd_path(path);
+                let mut scratch = plan.make_scratch();
+                for batch in 1..=MAX_BATCH {
+                    let mut out = vec![f32::NAN; batch * n * n];
+                    plan.sirt_batch_into(&sinos[..batch], &mut scratch, &mut out);
+                    for (z, got) in out.chunks_exact(n * n).enumerate() {
+                        assert_eq!(
+                            bits(got),
+                            expected[z],
+                            "n {n} {path:?} mask {mask_disk} nonneg {nonneg}: slice {z} of batch {batch}"
+                        );
+                    }
+                }
+                // the single-slice entry point is the one-live-lane call
+                let mut single = vec![f32::NAN; n * n];
+                plan.sirt_into(&sinos[5], &mut scratch, &mut single);
+                assert_eq!(bits(&single), expected[5]);
+            }
+        }
+    }
+}
+
+#[test]
+fn sirt_slice_bits_do_not_depend_on_lane_or_neighbours() {
+    let n = 37;
+    let (sinos, geom) = slice_stack(n, 19, 4);
+    let cfg = IterConfig {
+        iterations: 5,
+        ..Default::default()
+    };
+    // neighbours that would poison anything they leaked into
+    let mut wild = sinos[1].clone();
+    for (i, v) in wild.data.iter_mut().enumerate() {
+        *v = match i % 4 {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => -1e30,
+            _ => 1e30,
+        };
+    }
+    for path in [SimdPath::Scalar, SimdPath::Avx2] {
+        let plan = IterPlan::new(&geom, &cfg).unwrap().with_simd_path(path);
+        let mut scratch = plan.make_scratch();
+        let target = &sinos[0];
+        let mut alone = vec![0.0f32; n * n];
+        plan.sirt_into(target, &mut scratch, &mut alone);
+        assert!(alone.iter().all(|v| v.is_finite()));
+        for lane in 0..4 {
+            for neighbour in [&sinos[2], &wild] {
+                let mut batch = vec![neighbour.clone(); 4];
+                batch[lane] = target.clone();
+                let mut out = vec![0.0f32; 4 * n * n];
+                plan.sirt_batch_into(&batch, &mut scratch, &mut out);
+                assert_eq!(
+                    bits(&out[lane * n * n..(lane + 1) * n * n]),
+                    bits(&alone),
+                    "{path:?}: lane {lane}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
