@@ -196,6 +196,65 @@ fn slice_entry(n: usize, n_angles: usize, reps: usize) -> SliceResult {
     }
 }
 
+struct BatchResult {
+    json: String,
+    ms_per_slice: f64,
+}
+
+/// One lane batch of four slices through `fbp_batch_into` (one interval
+/// walk and one coordinate solve for the four) next to the same four
+/// slices one `fbp_slice_into` call each, same run, same scratch. The
+/// n = 256 and n = 512 rows are also where `plan::TILE_ROWS_MIN` was
+/// chosen (DESIGN.md §15).
+fn batch_entry(n: usize, n_angles: usize, reps: usize) -> BatchResult {
+    const BATCH: usize = 4;
+    let (sino, geom) = shepp_sino(n, n_angles);
+    let sinos: Vec<Sinogram> = (0..BATCH)
+        .map(|z| {
+            let mut s = sino.clone();
+            s.data.iter_mut().for_each(|v| *v *= 1.0 + 0.1 * z as f32);
+            s
+        })
+        .collect();
+    let plan = ReconPlan::new(&geom, &FbpConfig::default()).unwrap();
+    let mut scratch = plan.make_scratch();
+    let mut out = vec![0.0f32; BATCH * n * n];
+    let t_batch = time_best(reps, || {
+        plan.fbp_batch_into(black_box(&sinos), &mut scratch, &mut out);
+        black_box(&out);
+    });
+    let t_single = time_best(reps, || {
+        for (s, o) in sinos.iter().zip(out.chunks_exact_mut(n * n)) {
+            plan.fbp_slice_into(black_box(s), &mut scratch, o);
+        }
+        black_box(&out);
+    });
+    let per_slice = t_batch / BATCH as f64;
+    let ns_pa = per_slice * 1e9 / (n * n * n_angles) as f64;
+    println!(
+        "recon/batch {n}x{n}x{n_angles} x{BATCH} [{}]: batch {:.3} ms ({:.3} ms/slice, {:.3} ns/pixel-angle), slice by slice {:.3} ms, speedup {:.2}x",
+        plan.simd_path().name(),
+        t_batch * 1e3,
+        per_slice * 1e3,
+        ns_pa,
+        t_single * 1e3,
+        t_single / t_batch
+    );
+    let json = format!(
+        "    {{\"n\": {n}, \"n_angles\": {n_angles}, \"simd_path\": \"{}\", \"batch\": {BATCH}, \"batch_ms\": {}, \"ms_per_slice\": {}, \"ns_per_pixel_angle\": {}, \"slice_by_slice_ms\": {}, \"speedup_vs_slice_by_slice\": {}}}",
+        plan.simd_path().name(),
+        json_num(t_batch * 1e3),
+        json_num(per_slice * 1e3),
+        json_num(ns_pa),
+        json_num(t_single * 1e3),
+        json_num(t_single / t_batch)
+    );
+    BatchResult {
+        json,
+        ms_per_slice: per_slice * 1e3,
+    }
+}
+
 /// Fused prep chain (PrepPlan + ring + Paganin post-stage, one pass)
 /// vs the unfused reference chain, same inputs, same run.
 fn prep_chain_entry(n: usize, n_angles: usize, reps: usize) -> String {
@@ -326,11 +385,11 @@ fn volume_entry(n: usize, n_angles: usize, nz: usize, reps: usize) -> VolumeResu
     }
 }
 
-/// Committed quick-mode reference for the CI regression guard.
-fn load_quick_reference(path: &Path) -> Option<f64> {
+/// One committed quick-mode reference for the CI regression guard.
+fn load_quick_reference(path: &Path, key: &str) -> Option<f64> {
     let raw = std::fs::read_to_string(path).ok()?;
     let parsed: serde_json::Value = serde_json::from_str(&raw).ok()?;
-    parsed.get("quick_slice_fbp_256_plan_ms")?.as_f64()
+    parsed.get(key)?.as_f64()
 }
 
 fn recon_throughput(quick: bool) {
@@ -342,6 +401,10 @@ fn recon_throughput(quick: bool) {
         .iter()
         .map(|&(n, a)| slice_entry(n, a, reps))
         .collect();
+    let batches: Vec<BatchResult> = [(256usize, 180usize), (512, 360)]
+        .iter()
+        .map(|&(n, a)| batch_entry(n, a, reps))
+        .collect();
     let preps: Vec<String> = [(256usize, 180usize), (512, 360)]
         .iter()
         .map(|&(n, a)| prep_chain_entry(n, a, reps))
@@ -350,11 +413,13 @@ fn recon_throughput(quick: bool) {
     let vol = volume_entry(256, 180, nz, reps);
 
     let slice_rows: Vec<&str> = slices.iter().map(|s| s.json.as_str()).collect();
+    let batch_rows: Vec<&str> = batches.iter().map(|b| b.json.as_str()).collect();
     let json = format!(
-        "{{\n  \"bench\": \"recon\",\n  \"mode\": \"{}\",\n{},\n  \"note\": \"plan engine vs retained pre-plan reference, same run, same inputs; scaling_efficiency = (speedup vs 1 thread) / threads, reported only for rows with threads <= available_cores (oversubscribed rows are flagged and carry null efficiency)\",\n  \"slice_fbp\": [\n{}\n  ],\n  \"prep_chain\": [\n{}\n  ],\n  \"volume_fbp\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"recon\",\n  \"mode\": \"{}\",\n{},\n  \"note\": \"plan engine vs retained pre-plan reference, same run, same inputs; scaling_efficiency = (speedup vs 1 thread) / threads, reported only for rows with threads <= available_cores (oversubscribed rows are flagged and carry null efficiency)\",\n  \"slice_fbp\": [\n{}\n  ],\n  \"batch_fbp\": [\n{}\n  ],\n  \"prep_chain\": [\n{}\n  ],\n  \"volume_fbp\": [\n{}\n  ]\n}}\n",
         if quick { "quick" } else { "full" },
         cpu_block(),
         slice_rows.join(",\n"),
+        batch_rows.join(",\n"),
         preps.join(",\n"),
         vol.json
     );
@@ -376,11 +441,12 @@ fn recon_throughput(quick: bool) {
         println!("WARNING: n>=256 slice_fbp speedup below the 10x acceptance bar");
     }
 
-    // CI regression guard (quick mode only): the 256×256 slice row must
-    // stay within 2x of the committed reference, same pattern as the
-    // pipeline and orchestrator benches.
+    // CI regression guard (quick mode only): the 256×256 single-slice
+    // row and the per-slice time of the 256×256 lane batch must each
+    // stay within 2x of the committed reference — the second is the one
+    // a volume path falling back to slice-by-slice speed would trip.
     if quick {
-        let guard_row = slices
+        let slice_256 = slices
             .iter()
             .zip(slice_sizes)
             .find(|(_, &(n, _))| n == 256)
@@ -389,23 +455,35 @@ fn recon_throughput(quick: bool) {
             env!("CARGO_MANIFEST_DIR"),
             "/../../ci/recon_quick_ref.json"
         ));
-        match (guard_row, load_quick_reference(ref_path)) {
-            (Some(quick_ms), Some(ref_ms)) => {
-                println!(
-                    "recon quick guard: slice_fbp 256 plan {:.3} ms vs committed reference {:.3} ms",
-                    quick_ms, ref_ms
-                );
-                if quick_ms > 2.0 * ref_ms {
-                    eprintln!(
-                        "REGRESSION: quick slice_fbp 256 plan time {quick_ms:.3} ms exceeds 2x the committed reference {ref_ms:.3} ms"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            _ => println!(
-                "recon quick guard: no committed reference at {} — skipping",
-                ref_path.display()
+        for (what, key, measured) in [
+            (
+                "slice_fbp 256 plan",
+                "quick_slice_fbp_256_plan_ms",
+                slice_256,
             ),
+            (
+                "batch_fbp 256 per slice",
+                "quick_batch_fbp_256_ms_per_slice",
+                Some(batches[0].ms_per_slice),
+            ),
+        ] {
+            match (measured, load_quick_reference(ref_path, key)) {
+                (Some(quick_ms), Some(ref_ms)) => {
+                    println!(
+                        "recon quick guard: {what} {quick_ms:.3} ms vs committed reference {ref_ms:.3} ms"
+                    );
+                    if quick_ms > 2.0 * ref_ms {
+                        eprintln!(
+                            "REGRESSION: quick {what} time {quick_ms:.3} ms exceeds 2x the committed reference {ref_ms:.3} ms"
+                        );
+                        std::process::exit(1);
+                    }
+                }
+                _ => println!(
+                    "recon quick guard: no committed {key} at {} — skipping",
+                    ref_path.display()
+                ),
+            }
         }
     }
 }

@@ -34,8 +34,8 @@ impl StreamHub {
     /// Build a hub whose lanes export metrics into `registry`.
     pub fn with_registry(registry: Arc<Registry>) -> StreamHub {
         StreamHub {
+            plans: PlanCache::with_registry(&registry),
             registry,
-            plans: PlanCache::new(),
         }
     }
 

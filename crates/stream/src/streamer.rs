@@ -21,10 +21,11 @@ use crate::channel::{StreamMessage, Subscription};
 use crate::slab::{FrameSlab, SlabFrame};
 use crate::ScanAnnounce;
 use als_telemetry::{Counter, Histogram, Registry};
-use als_tomo::{FbpConfig, Geometry, Image, RawPrepPlan, ReconPlan, Sinogram, TomoError};
+use als_tomo::{
+    FbpConfig, FilterKind, Geometry, Image, RawPrepPlan, ReconPlan, Sinogram, TomoError,
+};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -56,18 +57,30 @@ impl Default for StreamerConfig {
 
 /// Cache of [`ReconPlan`]s keyed by exact geometry + FBP settings, shared
 /// by every stream of a hub so N concurrent detectors reuse one plan.
+///
+/// The key holds the arrival-order angle set, so every scan that loses
+/// frames differently is a new geometry; the cache therefore keeps only
+/// the [`PLAN_CACHE_CAPACITY`] most recently used plans and counts what
+/// it evicts.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    plans: Mutex<HashMap<PlanKey, Arc<ReconPlan>>>,
+    /// Most recently used first.
+    plans: Mutex<Vec<(PlanKey, Arc<ReconPlan>)>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    evictions: Counter,
 }
 
-#[derive(Debug, PartialEq, Eq, Hash)]
+/// Plans a [`PlanCache`] retains: room for a hub's handful of detector
+/// geometries, while a run of distinct truncated scans cannot pin more
+/// than this many interval tables (~40 MB each at paper scale).
+pub const PLAN_CACHE_CAPACITY: usize = 8;
+
+#[derive(Debug, PartialEq, Eq)]
 struct PlanKey {
     n_det: usize,
     center: u64,
-    filter: u8,
+    filter: FilterKind,
     mask_disk: bool,
     /// Exact angle set (bit patterns): plans are only shared between
     /// streams whose acquisitions are bit-identical in geometry.
@@ -76,19 +89,10 @@ struct PlanKey {
 
 impl PlanKey {
     fn new(geom: &Geometry, cfg: &FbpConfig) -> PlanKey {
-        use als_tomo::FilterKind::*;
         PlanKey {
             n_det: geom.n_det,
             center: geom.center.to_bits(),
-            filter: match cfg.filter {
-                RamLak => 0,
-                SheppLogan => 1,
-                Cosine => 2,
-                Hamming => 3,
-                Hann => 4,
-                Butterworth => 5,
-                None => 6,
-            },
+            filter: cfg.filter,
             mask_disk: cfg.mask_disk,
             angles: geom.angles.iter().map(|a| a.to_bits()).collect(),
         }
@@ -100,23 +104,44 @@ impl PlanCache {
         Arc::new(PlanCache::default())
     }
 
+    /// A cache whose evictions also count into `registry` as
+    /// `stream_plan_cache_evictions_total`.
+    pub fn with_registry(registry: &Registry) -> Arc<PlanCache> {
+        Arc::new(PlanCache {
+            evictions: registry.counter("stream_plan_cache_evictions_total", &[]),
+            ..Default::default()
+        })
+    }
+
     /// Fetch (or build and install) the plan for this exact geometry.
     pub fn get(&self, geom: &Geometry, cfg: &FbpConfig) -> Result<Arc<ReconPlan>, TomoError> {
         let key = PlanKey::new(geom, cfg);
-        if let Some(plan) = self.plans.lock().get(&key) {
+        if let Some(plan) = Self::touch(&mut self.plans.lock(), &key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(plan));
+            return Ok(plan);
         }
         // build outside the lock: plan construction is the expensive part
         let plan = Arc::new(ReconPlan::new(geom, cfg)?);
         let mut plans = self.plans.lock();
-        let entry = plans.entry(key).or_insert_with(|| Arc::clone(&plan));
-        if Arc::ptr_eq(entry, &plan) {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
+        if let Some(raced) = Self::touch(&mut plans, &key) {
+            // another stream installed this geometry while we built
             self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(raced);
         }
-        Ok(Arc::clone(entry))
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        plans.insert(0, (key, Arc::clone(&plan)));
+        if plans.len() > PLAN_CACHE_CAPACITY {
+            plans.truncate(PLAN_CACHE_CAPACITY);
+            self.evictions.inc();
+        }
+        Ok(plan)
+    }
+
+    /// Look `key` up and move it to the most-recently-used position.
+    fn touch(plans: &mut [(PlanKey, Arc<ReconPlan>)], key: &PlanKey) -> Option<Arc<ReconPlan>> {
+        let at = plans.iter().position(|(k, _)| k == key)?;
+        plans[..=at].rotate_right(1);
+        Some(Arc::clone(&plans[0].1))
     }
 
     pub fn hits(&self) -> u64 {
@@ -125,6 +150,11 @@ impl PlanCache {
 
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Plans dropped to keep the cache at [`PLAN_CACHE_CAPACITY`].
+    pub fn evictions(&self) -> u64 {
+        self.evictions.get()
     }
 
     pub fn len(&self) -> usize {
@@ -590,6 +620,39 @@ mod tests {
         let c = plans.get(&geom2, &cfg).unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(plans.len(), 2);
+    }
+
+    #[test]
+    fn plan_cache_keeps_only_the_most_recently_used_plans() {
+        let registry = Registry::new();
+        let plans = PlanCache::with_registry(&registry);
+        let cfg = FbpConfig::default();
+        let full = TomoGeometry::parallel_180(120, 16);
+        plans.get(&full, &cfg).unwrap();
+        // 100 scans that each lost a different number of frames, the
+        // full-length scan recurring between them as on a live beamline
+        for lost in 1..=100 {
+            let truncated = TomoGeometry {
+                angles: full.angles[..full.angles.len() - lost].to_vec(),
+                ..full.clone()
+            };
+            plans.get(&truncated, &cfg).unwrap();
+            plans.get(&full, &cfg).unwrap();
+        }
+        assert_eq!(plans.len(), PLAN_CACHE_CAPACITY);
+        assert_eq!(plans.misses(), 101, "the full-length plan was built once");
+        assert_eq!(plans.hits(), 100, "full-length scans still hit");
+        let evicted = 101 - PLAN_CACHE_CAPACITY as u64;
+        assert_eq!(plans.evictions(), evicted);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["stream_plan_cache_evictions_total"], evicted);
+        // an evicted geometry is rebuilt, a retained one is not
+        let oldest = TomoGeometry {
+            angles: full.angles[..full.angles.len() - 1].to_vec(),
+            ..full.clone()
+        };
+        plans.get(&oldest, &cfg).unwrap();
+        assert_eq!(plans.misses(), 102);
     }
 
     #[test]

@@ -175,21 +175,41 @@ impl FilterPlan {
         vec![Complex::ZERO; self.pad]
     }
 
-    /// Filter every row of `sino` into `out` (same shape), packing two
-    /// real rows per complex FFT: the response is real, so scaling the
-    /// packed spectrum filters both rows at once and the inverse FFT
-    /// leaves row `a` in the real parts and row `a+1` in the imaginary
-    /// parts. `cbuf` is caller-owned scratch (reused across calls); only
-    /// its padded tail is cleared — the head is overwritten by row data.
+    /// Filter every row of `sino` into `out` (same shape); see
+    /// [`FilterPlan::filter_rows_with`].
     pub fn filter_rows(&self, sino: &Sinogram, cbuf: &mut [Complex], out: &mut Sinogram) {
-        assert_eq!(sino.n_det, self.n_det, "detector width mismatch");
         assert_eq!((out.n_angles, out.n_det), (sino.n_angles, sino.n_det));
+        let nd = sino.n_det;
+        self.filter_rows_with(sino, cbuf, |a, t, v| out.data[a * nd + t] = v);
+    }
+
+    /// Filter every row of `sino`, handing each filtered sample to
+    /// `emit(angle, bin, value)` — so a consumer with its own layout
+    /// (the backprojector's prescaled, lane-interleaved rows) takes the
+    /// samples straight from the FFT buffer instead of from an
+    /// intermediate sinogram. Two real rows are packed per complex FFT:
+    /// the response is real, so scaling the packed spectrum filters
+    /// both rows at once and the inverse FFT leaves row `a` in the real
+    /// parts and row `a+1` in the imaginary parts. `cbuf` is
+    /// caller-owned scratch (reused across calls); only its padded tail
+    /// is cleared — the head is overwritten by row data.
+    pub(crate) fn filter_rows_with(
+        &self,
+        sino: &Sinogram,
+        cbuf: &mut [Complex],
+        mut emit: impl FnMut(usize, usize, f32),
+    ) {
+        assert_eq!(sino.n_det, self.n_det, "detector width mismatch");
         assert_eq!(cbuf.len(), self.pad, "scratch buffer length mismatch");
+        let nd = sino.n_det;
         if self.response.is_empty() {
-            out.data.copy_from_slice(&sino.data);
+            for a in 0..sino.n_angles {
+                for (t, &v) in sino.row(a).iter().enumerate() {
+                    emit(a, t, v);
+                }
+            }
             return;
         }
-        let nd = sino.n_det;
         let mut a = 0usize;
         while a < sino.n_angles {
             let packed = a + 1 < sino.n_angles;
@@ -210,12 +230,12 @@ impl FilterPlan {
             self.fft.forward(cbuf);
             crate::simd::scale_spectrum(self.path, cbuf, &self.resp2);
             self.fft.inverse(cbuf);
-            for (o, c) in out.row_mut(a).iter_mut().zip(cbuf.iter()) {
-                *o = c.re as f32;
+            for (t, c) in cbuf[..nd].iter().enumerate() {
+                emit(a, t, c.re as f32);
             }
             if packed {
-                for (o, c) in out.row_mut(a + 1).iter_mut().zip(cbuf.iter()) {
-                    *o = c.im as f32;
+                for (t, c) in cbuf[..nd].iter().enumerate() {
+                    emit(a + 1, t, c.im as f32);
                 }
                 a += 2;
             } else {

@@ -22,9 +22,9 @@
 //! - **Fused prep**: a [`RawPrepPlan`] turns raw counts into line
 //!   integrals in a single in-place pass per row.
 //! - **Recon**: one shared plan ([`IterPlan`] or [`ReconPlan`]) built
-//!   once per scan; a slab is cut into engine-sized batches (one slice
-//!   for FBP, one lane group of slices for SIRT) parallelized over the
-//!   vendored rayon work queue with per-worker scratch.
+//!   once per scan; a slab is cut into lane batches (`SLICE_LANES`
+//!   slices, which both engines advance together) parallelized over
+//!   the vendored rayon work queue with per-worker scratch.
 //! - **Sink**: writers run on a dedicated I/O thread fed by a bounded
 //!   channel, so disk writes overlap the next slab's compute. Slabs
 //!   arrive in z order, which lets streaming writers (TIFF stack,
@@ -217,32 +217,12 @@ impl Engine {
         }
     }
 
-    /// Slices one work-queue item reconstructs: SIRT advances a lane
-    /// group of slices per table walk, FBP works slice by slice.
-    fn batch_slices(&self) -> usize {
-        match self {
-            Engine::Sirt(_) => SLICE_LANES,
-            Engine::Fbp(_) => 1,
-        }
-    }
-
-    /// Default slab height. FBP: enough slices to keep the work queue
-    /// fed on small machines without ballooning the bounded-channel
-    /// memory. SIRT: one full batch per worker, so no worker walks the
-    /// ray table for idle lanes.
-    fn default_slab_rows(&self) -> usize {
-        match self {
-            Engine::Sirt(_) => SLICE_LANES * rayon::current_num_threads(),
-            Engine::Fbp(_) => 4,
-        }
-    }
-
-    /// Reconstruct one batch (`sinos.len() <= batch_slices()`) into the
+    /// Reconstruct one batch (`sinos.len() <= SLICE_LANES`) into the
     /// matching run of output slices.
     fn recon_into(&self, sinos: &[Sinogram], scratch: &mut Scratch, out: &mut [f32]) {
         match (self, scratch) {
             (Engine::Sirt(p), Scratch::Sirt(s)) => p.sirt_batch_into(sinos, s, out),
-            (Engine::Fbp(p), Scratch::Fbp(s)) => p.fbp_slice_into(&sinos[0], s, out),
+            (Engine::Fbp(p), Scratch::Fbp(s)) => p.fbp_batch_into(sinos, s, out),
             _ => unreachable!("scratch kind always matches engine kind"),
         }
     }
@@ -305,8 +285,10 @@ pub fn run(
     ));
     let plan_build = t0.elapsed();
 
+    // default slab: one full lane batch per worker, so no worker idles
+    // and none walks its tables for idle lanes
     let slab_rows = if cfg.slab_rows == 0 {
-        engine.default_slab_rows()
+        SLICE_LANES * rayon::current_num_threads()
     } else {
         cfg.slab_rows
     }
@@ -452,23 +434,26 @@ pub fn run(
         let mut prep_busy = Duration::ZERO;
         let mut recon_busy = Duration::ZERO;
         let mut post_scratch = prep.make_post_scratch();
+        // one slab's sinograms, reused by every slab: `prep_angle_row`
+        // overwrites every row it is given
+        let mut sino_bufs: Vec<Sinogram> = (0..slab_rows)
+            .map(|_| Sinogram::zeros(n_angles, cols))
+            .collect();
         while let Ok((r0, k, raw)) = raw_rx.recv() {
             raw_depth.dec();
             prep_active.inc();
             let t = Instant::now();
-            let mut sinos: Vec<Sinogram> = Vec::with_capacity(k);
-            for i in 0..k {
-                let mut sino = Sinogram::zeros(n_angles, cols);
+            for (i, sino) in sino_bufs[..k].iter_mut().enumerate() {
                 let base = i * n_angles * cols;
                 for a in 0..n_angles {
                     let off = base + a * cols;
                     prep.prep_angle_row(r0 + i, &raw[off..off + cols], sino.row_mut(a));
                 }
                 if !prep.post_is_empty() {
-                    prep.finish_sinogram(&mut sino, &mut post_scratch);
+                    prep.finish_sinogram(sino, &mut post_scratch);
                 }
-                sinos.push(sino);
             }
+            let sinos = &sino_bufs[..k];
             let dt = t.elapsed();
             prep_busy += dt;
             prep_busy_us.record_secs(dt.as_secs_f64());
@@ -477,14 +462,13 @@ pub fn run(
             recon_active.inc();
             let t = Instant::now();
             let mut out = vec![0.0f32; k * cols * cols];
-            let batch = engine.batch_slices();
-            out.par_chunks_mut(batch * cols * cols)
+            out.par_chunks_mut(SLICE_LANES * cols * cols)
                 .enumerate()
                 .for_each_init(
                     || engine.make_scratch(),
                     |scratch, (i, slices)| {
-                        let batch_sinos = &sinos[i * batch..k.min((i + 1) * batch)];
-                        engine.recon_into(batch_sinos, scratch, slices)
+                        let batch = &sinos[i * SLICE_LANES..k.min((i + 1) * SLICE_LANES)];
+                        engine.recon_into(batch, scratch, slices)
                     },
                 );
             let dt = t.elapsed();
@@ -661,13 +645,18 @@ mod tests {
         (geom, prep)
     }
 
-    /// Detector row `r` of every frame, prepped into one sinogram.
-    fn prepped_sinogram(scan: &MemScan, prep: &RawPrepPlan, r: usize) -> Sinogram {
-        let mut sino = Sinogram::zeros(scan.n_angles, scan.cols);
+    /// Detector row `r` of every frame, prepped into `sino`.
+    fn prep_row_into(scan: &MemScan, prep: &RawPrepPlan, r: usize, sino: &mut Sinogram) {
         for a in 0..scan.n_angles {
             let f = &scan.frames[a][r * scan.cols..(r + 1) * scan.cols];
             prep.prep_angle_row(r, f, sino.row_mut(a));
         }
+    }
+
+    /// Detector row `r` of every frame, prepped into one sinogram.
+    fn prepped_sinogram(scan: &MemScan, prep: &RawPrepPlan, r: usize) -> Sinogram {
+        let mut sino = Sinogram::zeros(scan.n_angles, scan.cols);
+        prep_row_into(scan, prep, r, &mut sino);
         sino
     }
 
@@ -701,52 +690,89 @@ mod tests {
     #[test]
     fn slab_size_does_not_change_output() {
         // every way the slab / lane-batch / worker grid can fall: slabs
-        // shorter than, equal to and longer than a SIRT lane batch,
-        // padded tail batches, more workers than batches — against the
-        // plain slice-at-a-time solve of the same sinograms
+        // shorter than, equal to and longer than a lane batch, tail
+        // batches with idle lanes or a single slice, more workers than
+        // batches — against the plain slice-at-a-time solve of the same
+        // sinograms, for both engines
         let iter_cfg = IterConfig {
             iterations: 5,
             ..Default::default()
         };
-        for rows in [1usize, 3, 5, 9] {
-            let scan = MemScan::synthetic(10, rows, 20);
-            let cfg = PipelineConfig {
-                recon: ReconKind::Sirt(iter_cfg),
-                mu_scale: 0.04,
-                zinger_threshold: Some(0.5),
-                ..Default::default()
-            };
-            let (geom, prep) = slicewise_reference(&scan, &cfg);
-            let plan = IterPlan::new(&geom, &iter_cfg).unwrap();
-            let mut scratch = plan.make_scratch();
-            let mut expected = Vec::new();
-            for r in 0..rows {
-                let sino = prepped_sinogram(&scan, &prep, r);
-                expected.extend(plan.sirt_slice_with(&sino, &mut scratch).unwrap().data);
-            }
-            for threads in [1, 2, 3] {
-                rayon::set_num_threads(threads);
-                for slab_rows in [0, 1, 2, 3, rows] {
-                    for queue_depth in [1, 3] {
-                        let cfg = PipelineConfig {
-                            slab_rows,
-                            queue_depth,
-                            ..cfg.clone()
-                        };
-                        let (v, report) = run_volume(&scan, &cfg);
-                        assert_eq!(
-                            expected, v,
-                            "rows {rows} slab_rows {slab_rows} threads {threads} changed the output"
-                        );
-                        if slab_rows == 0 {
-                            // SIRT default: one full lane batch per worker
-                            let slab = (SLICE_LANES * threads).min(rows);
-                            assert_eq!(report.slabs, rows.div_ceil(slab));
+        for recon in [
+            ReconKind::Sirt(iter_cfg),
+            ReconKind::Fbp(FbpConfig::default()),
+        ] {
+            for rows in [1usize, 3, 5, 9] {
+                let scan = MemScan::synthetic(10, rows, 20);
+                let cfg = PipelineConfig {
+                    recon: recon.clone(),
+                    mu_scale: 0.04,
+                    zinger_threshold: Some(0.5),
+                    ..Default::default()
+                };
+                let (geom, prep) = slicewise_reference(&scan, &cfg);
+                let sinos = (0..rows).map(|r| prepped_sinogram(&scan, &prep, r));
+                let expected: Vec<f32> = match &recon {
+                    ReconKind::Sirt(c) => {
+                        let plan = IterPlan::new(&geom, c).unwrap();
+                        let mut scratch = plan.make_scratch();
+                        sinos
+                            .flat_map(|s| plan.sirt_slice_with(&s, &mut scratch).unwrap().data)
+                            .collect()
+                    }
+                    ReconKind::Fbp(c) => {
+                        let plan = ReconPlan::new(&geom, c).unwrap();
+                        let mut scratch = plan.make_scratch();
+                        sinos
+                            .flat_map(|s| plan.fbp_slice_with(&s, &mut scratch).unwrap().data)
+                            .collect()
+                    }
+                };
+                for threads in [1, 2, 3] {
+                    rayon::set_num_threads(threads);
+                    for slab_rows in [0, 1, 2, 3, rows] {
+                        for queue_depth in [1, 3] {
+                            let cfg = PipelineConfig {
+                                slab_rows,
+                                queue_depth,
+                                ..cfg.clone()
+                            };
+                            let (v, report) = run_volume(&scan, &cfg);
+                            assert_eq!(
+                                expected, v,
+                                "{recon:?} rows {rows} slab_rows {slab_rows} threads {threads} changed the output"
+                            );
+                            if slab_rows == 0 {
+                                // default: one full lane batch per worker
+                                let slab = (SLICE_LANES * threads).min(rows);
+                                assert_eq!(report.slabs, rows.div_ceil(slab));
+                            }
                         }
                     }
                 }
+                rayon::set_num_threads(0);
             }
-            rayon::set_num_threads(0);
+        }
+    }
+
+    #[test]
+    fn prep_overwrites_a_reused_sinogram_buffer() {
+        // `run` reuses one set of sinogram buffers for every slab; that
+        // is only sound because prep writes every sample it is given
+        let scan = MemScan::synthetic(7, 3, 19);
+        let cfg = PipelineConfig {
+            mu_scale: 0.04,
+            zinger_threshold: Some(0.5),
+            ..Default::default()
+        };
+        let (_, prep) = slicewise_reference(&scan, &cfg);
+        for r in 0..scan.rows {
+            let fresh = prepped_sinogram(&scan, &prep, r);
+            let mut reused = Sinogram::zeros(scan.n_angles, scan.cols);
+            reused.data.fill(f32::NAN);
+            prep_row_into(&scan, &prep, r, &mut reused);
+            assert!(reused.data.iter().all(|v| v.is_finite()));
+            assert_eq!(fresh, reused, "row {r}");
         }
     }
 

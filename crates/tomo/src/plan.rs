@@ -15,10 +15,11 @@
 //!   the mask would zero anyway.
 //!
 //! Per-thread mutable state lives in a [`ReconScratch`] (one padded
-//! complex FFT buffer plus one filtered-sinogram buffer), created once
-//! per worker via [`ReconPlan::make_scratch`] and reused across slices.
+//! complex FFT buffer, the backprojector's prescaled rows and one
+//! accumulator tile), created once per worker via
+//! [`ReconPlan::make_scratch`] and reused across batches of slices.
 //!
-//! Two kernel-level optimisations ride on the plan:
+//! Four kernel-level optimisations ride on the plan:
 //!
 //! * **packed real FFT filtering** — the ramp response is real and
 //!   symmetric, so two real sinogram rows are packed into one complex
@@ -38,6 +39,14 @@
 //!   fallback elsewhere), and the angle sweep is tiled over blocks of
 //!   output rows so the block being accumulated stays in L1/L2 while
 //!   every sinogram row streams over it once per tile.
+//! * **slices as lanes** — the clip intervals and detector coordinates
+//!   are the same for every slice of a scan, so
+//!   [`ReconPlan::fbp_batch_into`] backprojects `SLICE_LANES` slices
+//!   together, pixel-interleaved, through
+//!   [`crate::simd::backproject_row_lanes`]: one interval walk and one
+//!   coordinate solve per batch, two contiguous 128-bit loads per pixel
+//!   instead of a gather. Every lane repeats the per-slice kernel's
+//!   arithmetic exactly, so a slice's bits do not depend on its batch.
 //!
 //! The pre-plan implementations are retained verbatim in
 //! [`crate::reference`]; equivalence tests and the `kernels` bench
@@ -50,6 +59,7 @@ use crate::geometry::Geometry;
 use crate::gridrec::{signed_index, GridrecConfig};
 use crate::image::{Image, Sinogram, Volume};
 use crate::radon::in_recon_disk;
+use crate::simd::SLICE_LANES;
 use crate::TomoError;
 use rayon::prelude::*;
 
@@ -83,11 +93,16 @@ pub struct ReconPlan {
 pub struct ReconScratch {
     /// Padded complex FFT staging buffer (`pad` long).
     cbuf: Vec<Complex>,
-    /// Filtered-sinogram buffer.
-    filtered: Sinogram,
-    /// Prescaled f32 sinogram (`n_angles × (n_det + 1)`, one sentinel
-    /// `0.0` per row) feeding the SIMD backprojection kernel.
+    /// Prescaled f32 projection rows feeding the backprojection
+    /// kernels, one sentinel `0.0` bin per row. Sized for a lane batch
+    /// (`rows[(a·(n_det+1) + t)·SLICE_LANES + lane]`); the one-slice
+    /// kernel uses the first `n_angles × (n_det + 1)` entries and never
+    /// touches the rest.
     rowsf: Vec<f32>,
+    /// One interleaved accumulator tile of the lane kernel
+    /// (`tile_rows × n_det × SLICE_LANES`), de-interleaved into the
+    /// output slices while it is cache-hot.
+    tile: Vec<f32>,
 }
 
 impl ReconPlan {
@@ -159,19 +174,12 @@ impl ReconPlan {
     /// Allocate the mutable buffers one worker thread needs. Create one
     /// per thread and reuse it for every slice that thread processes.
     pub fn make_scratch(&self) -> ReconScratch {
+        let n = self.geom.n_det;
         ReconScratch {
             cbuf: self.filter.make_buf(),
-            filtered: Sinogram::zeros(self.geom.n_angles(), self.geom.n_det),
-            rowsf: vec![0.0; self.geom.n_angles() * (self.geom.n_det + 1)],
+            rowsf: vec![0.0; self.geom.n_angles() * (n + 1) * SLICE_LANES],
+            tile: vec![0.0; tile_rows(n * SLICE_LANES) * n * SLICE_LANES],
         }
-    }
-
-    /// Filter every sinogram row into `scratch.filtered` using the
-    /// cached frequency response, two rows per complex FFT (see
-    /// [`FilterPlan::filter_rows`]).
-    pub fn filter_sinogram_with(&self, sino: &Sinogram, scratch: &mut ReconScratch) {
-        let ReconScratch { cbuf, filtered, .. } = scratch;
-        self.filter.filter_rows(sino, cbuf, filtered);
     }
 
     /// Accumulate the backprojection of `sino` into `out` (`n_det²`
@@ -186,8 +194,9 @@ impl ReconPlan {
         scratch: &mut ReconScratch,
         out: &mut [f32],
     ) {
-        prescale_sino(sino, scale, &mut scratch.rowsf);
-        self.backproject_prescaled(&scratch.rowsf, out);
+        let rowsf = &mut scratch.rowsf[..sino.n_angles * (sino.n_det + 1)];
+        prescale_sino(sino, scale, rowsf);
+        self.backproject_tiled(1, rowsf, out, crate::simd::backproject_row);
     }
 
     /// Accumulate the backprojection of a single projection row (angle
@@ -234,34 +243,18 @@ impl ReconPlan {
         (xa as f64 - c) * cos_t + (yr * sin_t + self.geom.center)
     }
 
-    /// Backproject a whole prescaled sinogram (`rowsf` as produced by
-    /// [`prescale_sino`]) into `out`.
-    fn backproject_prescaled(&self, rowsf: &[f32], out: &mut [f32]) {
-        self.backproject_tiled(1, rowsf, out, crate::simd::backproject_row);
-    }
-
-    /// [`ReconPlan::backproject_prescaled`] over `SLICE_LANES`
-    /// pixel-interleaved slices at once (`rows4[(a·(n_det+1) + t)·L +
-    /// lane]`, sentinel column included; `out4[pixel·L + lane]`): every
+    /// The backprojection of `SLICE_LANES` pixel-interleaved slices at
+    /// once (`rows4[(a·(n_det+1) + t)·L + lane]`, sentinel column
+    /// included), accumulated into `out4[pixel·L + lane]`: every
     /// `(angle, row)` interval and detector coordinate is solved once
     /// per batch of slices instead of once per slice.
     pub(crate) fn backproject_lanes(&self, rows4: &[f32], out4: &mut [f32]) {
-        self.backproject_tiled(
-            crate::simd::SLICE_LANES,
-            rows4,
-            out4,
-            crate::simd::backproject_row_lanes,
-        );
+        self.backproject_tiled(SLICE_LANES, rows4, out4, crate::simd::backproject_row_lanes);
     }
 
-    /// The backprojection sweep shared by the per-slice and the
-    /// slice-interleaved kernels, `lanes` values per pixel and detector
-    /// bin. Tiled over blocks of output rows: the loop order is tile →
-    /// angle → row, so the output block being accumulated stays
-    /// cache-resident while every sinogram row streams over it once
-    /// per tile, and each output pixel still sums its angles in
-    /// ascending order (the result is numerically identical to the
-    /// untiled sweep).
+    /// Accumulate the whole backprojection into a resident image,
+    /// `lanes` values per pixel and detector bin, one row tile after
+    /// another ([`ReconPlan::backproject_rows`]).
     fn backproject_tiled(
         &self,
         lanes: usize,
@@ -270,55 +263,131 @@ impl ReconPlan {
         row_kernel: impl Fn(crate::simd::SimdPath, &[f32], f64, f64, &mut [f32]),
     ) {
         let n = self.geom.n_det;
-        let stride = (n + 1) * lanes;
         assert_eq!(out.len(), n * n * lanes, "output buffer size mismatch");
+        for rows in row_tiles(n, lanes) {
+            let acc = &mut out[rows.start * n * lanes..rows.end * n * lanes];
+            self.backproject_rows(lanes, rowsf, rows, acc, &row_kernel);
+        }
+    }
+
+    /// The backprojection sweep shared by the per-slice and the
+    /// slice-interleaved kernels, restricted to one tile of output rows:
+    /// `acc` holds output rows `rows`, row `rows.start` first, `lanes`
+    /// values per pixel. Every angle is accumulated into it in ascending
+    /// order, so the tile stays cache-resident while each projection
+    /// row streams over it once and the result is numerically identical
+    /// to the untiled sweep.
+    fn backproject_rows(
+        &self,
+        lanes: usize,
+        rowsf: &[f32],
+        rows: std::ops::Range<usize>,
+        acc: &mut [f32],
+        row_kernel: impl Fn(crate::simd::SimdPath, &[f32], f64, f64, &mut [f32]),
+    ) {
+        let n = self.geom.n_det;
+        let stride = (n + 1) * lanes;
+        assert_eq!(acc.len(), rows.len() * n * lanes, "tile size mismatch");
         assert_eq!(
             rowsf.len(),
             self.trig.len() * stride,
             "projection rows do not match the plan geometry"
         );
         let c = (n as f64 - 1.0) / 2.0;
-        let tile = tile_rows(n * lanes);
-        let mut y0 = 0usize;
-        while y0 < n {
-            let y1 = (y0 + tile).min(n);
-            for (a, &(sin_t, cos_t)) in self.trig.iter().enumerate() {
-                let rowf = &rowsf[a * stride..(a + 1) * stride];
-                let ivals = &self.intervals[a * n..(a + 1) * n];
-                for (y, &(xa, xb)) in ivals.iter().enumerate().take(y1).skip(y0) {
-                    let (xa, xb) = (xa as usize, xb as usize);
-                    if xa >= xb {
-                        continue;
-                    }
-                    let yr = y as f64 - c;
-                    let t0 = (xa as f64 - c) * cos_t + (yr * sin_t + self.geom.center);
-                    row_kernel(
-                        self.path,
-                        rowf,
-                        t0,
-                        cos_t,
-                        &mut out[(y * n + xa) * lanes..(y * n + xb) * lanes],
-                    );
+        for (a, &(sin_t, cos_t)) in self.trig.iter().enumerate() {
+            let rowf = &rowsf[a * stride..(a + 1) * stride];
+            let ivals = &self.intervals[a * n + rows.start..a * n + rows.end];
+            for (dy, &(xa, xb)) in ivals.iter().enumerate() {
+                let (xa, xb) = (xa as usize, xb as usize);
+                if xa >= xb {
+                    continue;
                 }
+                let yr = (rows.start + dy) as f64 - c;
+                let t0 = (xa as f64 - c) * cos_t + (yr * sin_t + self.geom.center);
+                row_kernel(
+                    self.path,
+                    rowf,
+                    t0,
+                    cos_t,
+                    &mut acc[(dy * n + xa) * lanes..(dy * n + xb) * lanes],
+                );
             }
-            y0 = y1;
         }
     }
 
     /// Filtered back projection of one sinogram directly into a
     /// caller-provided `n_det × n_det` pixel buffer (e.g. a volume
-    /// slice). The buffer is fully overwritten. Shapes must already be
-    /// validated against the plan's geometry.
+    /// slice): a batch of one. The buffer is fully overwritten. Shapes
+    /// must match the plan's geometry.
     pub fn fbp_slice_into(&self, sino: &Sinogram, scratch: &mut ReconScratch, out: &mut [f32]) {
-        let ReconScratch {
-            cbuf,
-            filtered,
-            rowsf,
-        } = scratch;
-        self.filter.filter_rows(sino, cbuf, filtered);
-        prescale_sino(filtered, self.scale, rowsf);
-        out.fill(0.0);
-        self.backproject_prescaled(rowsf, out);
+        self.fbp_batch_into(std::slice::from_ref(sino), scratch, out);
+    }
+
+    /// Filtered back projection of consecutive slices: sinogram `i`
+    /// lands in `out[i·n² .. (i+1)·n²]`, fully overwritten. Slices are
+    /// backprojected `SLICE_LANES` at a time through the interleaved
+    /// kernel; a batch with a single live slice takes the one-slice
+    /// kernel instead of paying for idle lanes. Either way every slice's
+    /// result is bit-identical to reconstructing it alone. Shapes must
+    /// match the plan's geometry.
+    pub fn fbp_batch_into(&self, sinos: &[Sinogram], scratch: &mut ReconScratch, out: &mut [f32]) {
+        let npix = self.geom.n_det * self.geom.n_det;
+        assert_eq!(out.len(), sinos.len() * npix, "output buffer size mismatch");
+        let batches = sinos.chunks(SLICE_LANES);
+        for (batch, out) in batches.zip(out.chunks_mut(SLICE_LANES * npix)) {
+            self.fbp_lanes(batch, scratch, out);
+        }
+    }
+
+    /// One batch of at most `SLICE_LANES` slices: filter each (packed
+    /// two-row FFT) straight into the backprojector's prescaled rows,
+    /// then one backprojection sweep for the whole batch.
+    fn fbp_lanes(&self, sinos: &[Sinogram], scratch: &mut ReconScratch, out: &mut [f32]) {
+        let (n, n_angles) = (self.geom.n_det, self.geom.n_angles());
+        let lanes = if sinos.len() == 1 { 1 } else { SLICE_LANES };
+        let ReconScratch { cbuf, rowsf, tile } = scratch;
+        let rowsf = &mut rowsf[..n_angles * (n + 1) * lanes];
+        // lanes without a slice keep whatever the scratch held: lanes
+        // never mix and theirs are not read back
+        for (lane, sino) in sinos.iter().enumerate() {
+            assert_eq!(
+                (sino.n_angles, sino.n_det),
+                (n_angles, n),
+                "sinogram shape does not match the plan geometry"
+            );
+            // the angle weight is applied in f64 and rounded once, so
+            // the inner loop pays no per-pixel scale multiply
+            self.filter.filter_rows_with(sino, cbuf, |a, t, v| {
+                rowsf[(a * (n + 1) + t) * lanes + lane] = (v as f64 * self.scale) as f32;
+            });
+            for a in 0..n_angles {
+                rowsf[(a * (n + 1) + n) * lanes + lane] = 0.0;
+            }
+        }
+        if lanes == 1 {
+            out.fill(0.0);
+            self.backproject_tiled(1, rowsf, out, crate::simd::backproject_row);
+            return;
+        }
+        // one L1-resident interleaved tile at a time, handed to the
+        // output slices while it is hot — no n²×lanes image per worker
+        for rows in row_tiles(n, lanes) {
+            let acc = &mut tile[..rows.len() * n * lanes];
+            acc.fill(0.0);
+            self.backproject_rows(
+                lanes,
+                rowsf,
+                rows.clone(),
+                acc,
+                crate::simd::backproject_row_lanes,
+            );
+            for (lane, slice) in out.chunks_exact_mut(n * n).enumerate() {
+                let dst = &mut slice[rows.start * n..rows.end * n];
+                for (o, px) in dst.iter_mut().zip(acc.chunks_exact(lanes)) {
+                    *o = px[lane];
+                }
+            }
+        }
     }
 
     /// Filtered back projection of one sinogram, returning a fresh
@@ -336,8 +405,8 @@ impl ReconPlan {
     }
 
     /// Reconstruct a stack of sinograms directly into a [`Volume`],
-    /// slice-parallel with one scratch per worker thread and no
-    /// intermediate `Vec<Image>` copy.
+    /// one lane batch of slices per work item, one scratch per worker
+    /// thread and no intermediate `Vec<Image>` copy.
     pub fn fbp_volume(&self, sinos: &[Sinogram]) -> Result<Volume, TomoError> {
         if sinos.is_empty() {
             return Err(TomoError::BadParameter("empty sinogram stack".into()));
@@ -347,10 +416,17 @@ impl ReconPlan {
         }
         let n = self.geom.n_det;
         let mut vol = Volume::zeros(n, n, sinos.len());
-        vol.data.par_chunks_mut(n * n).enumerate().for_each_init(
-            || self.make_scratch(),
-            |scratch, (z, slice)| self.fbp_slice_into(&sinos[z], scratch, slice),
-        );
+        vol.data
+            .par_chunks_mut(SLICE_LANES * n * n)
+            .enumerate()
+            .for_each_init(
+                || self.make_scratch(),
+                |scratch, (i, slices)| {
+                    let z0 = i * SLICE_LANES;
+                    let batch = &sinos[z0..sinos.len().min(z0 + SLICE_LANES)];
+                    self.fbp_batch_into(batch, scratch, slices)
+                },
+            );
         Ok(vol)
     }
 
@@ -397,10 +473,25 @@ fn prescale_sino(sino: &Sinogram, scale: f64, rowsf: &mut [f32]) {
 }
 
 /// Output rows per backprojection tile for rows of `row_len` f32s:
-/// sized so the block under accumulation fits comfortably in L1
-/// (32 KiB), floored at 8 rows so small images stay a single sweep.
+/// sized so the block under accumulation fits in L1 (32 KiB), floored
+/// at [`TILE_ROWS_MIN`] rows so small images stay a single sweep.
 fn tile_rows(row_len: usize) -> usize {
-    (8192 / row_len.max(1)).clamp(8, 64)
+    (8192 / row_len.max(1)).clamp(TILE_ROWS_MIN, 64)
+}
+
+/// Fewest output rows a backprojection tile holds. The floor only binds
+/// past 1024 f32s per row (a four-lane tile at n = 512 is 64 KiB);
+/// floors 2, 4 and 8 measured within 3 % of each other there for both
+/// the FBP and the SIRT lane kernels (DESIGN.md §15), and tiling never
+/// changes a bit, so the floor that takes the fewest passes over the
+/// projection rows stays.
+const TILE_ROWS_MIN: usize = 8;
+
+/// The row tiles of an `n`-row image of `lanes` values per pixel, in
+/// ascending order.
+fn row_tiles(n: usize, lanes: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+    let tile = tile_rows(n * lanes);
+    (0..n).step_by(tile).map(move |y0| y0..(y0 + tile).min(n))
 }
 
 /// Per-`(angle, row)` clip intervals: the half-open `x` range whose
@@ -758,6 +849,35 @@ mod tests {
                 assert_eq!(a, b, "backproject_angle_acc {angle}, mask_disk {mask_disk}");
             }
             assert!(a.iter().all(|v| v.is_finite()));
+        }
+    }
+
+    #[test]
+    fn fbp_batches_ignore_what_the_scratch_held() {
+        // batches of every live-lane count through one poisoned scratch:
+        // idle lanes, the sentinel column and the accumulator tile must
+        // not leak what an earlier batch (or nothing) left there
+        let n = 29;
+        let geom = Geometry::parallel_180(11, n);
+        let base = forward_project(&disk_image(n, 9.0, 1.0), &geom);
+        let sinos: Vec<Sinogram> = (0..5)
+            .map(|z| {
+                let mut s = base.clone();
+                s.data.iter_mut().for_each(|v| *v *= 1.0 + 0.3 * z as f32);
+                s
+            })
+            .collect();
+        let plan = ReconPlan::new(&geom, &FbpConfig::default()).unwrap();
+        let mut dirty = plan.make_scratch();
+        for live in [4usize, 2, 1, 3, 5] {
+            dirty.rowsf.fill(f32::NAN);
+            dirty.tile.fill(f32::NAN);
+            dirty.cbuf.fill(Complex::new(f64::NAN, f64::NAN));
+            let (mut a, mut b) = (vec![f32::NAN; live * n * n], vec![f32::NAN; live * n * n]);
+            plan.fbp_batch_into(&sinos[..live], &mut dirty, &mut a);
+            plan.fbp_batch_into(&sinos[..live], &mut plan.make_scratch(), &mut b);
+            assert!(a.iter().all(|v| v.is_finite()), "{live} live lanes");
+            assert_eq!(a, b, "{live} live lanes");
         }
     }
 

@@ -22,12 +22,13 @@
 //! the scalar path and the pre-plan reference at ≤1e-5 RMSE by
 //! `tests/plan_equivalence.rs`.
 //!
-//! The iterative engine's kernels ([`ray_sums_lanes`],
-//! [`backproject_row_lanes`]) vectorize across *slices* instead of
-//! along a row: four slices are stored pixel-interleaved, the index
-//! and weight math of a sample or pixel is done once, and each lane
-//! repeats the per-slice kernel's arithmetic of the same path exactly,
-//! so a lane is **bit-identical** to reconstructing that slice alone.
+//! The lane kernels ([`ray_sums_lanes`] for SIRT's forward projector,
+//! [`backproject_row_lanes`] for the SIRT and FBP backprojectors)
+//! vectorize across *slices* instead of along a row: four slices are
+//! stored pixel-interleaved, the index and weight math of a sample or
+//! pixel is done once, and each lane repeats the per-slice kernel's
+//! arithmetic of the same path exactly, so a lane is **bit-identical**
+//! to reconstructing that slice alone.
 //!
 //! Set `ALS_TOMO_SIMD=scalar` in the environment to force the scalar
 //! path regardless of CPU features (used by benches to measure the
@@ -193,13 +194,13 @@ unsafe fn backproject_row_avx2(rowf: &[f32], t0: f64, step: f64, out: &mut [f32]
 }
 
 // ---------------------------------------------------------------------------
-// Slice-interleaved lane kernels (iterative engine)
+// Slice-interleaved lane kernels (SIRT and FBP volumes)
 // ---------------------------------------------------------------------------
 
-/// Slices the iterative engine advances per table walk. Its buffers are
-/// pixel-interleaved (`buf[pixel * SLICE_LANES + lane]`), so the values
-/// one table sample or one detector coordinate touches in every slice
-/// are one contiguous 128-bit load — no gather.
+/// Slices the SIRT and FBP engines advance per table or interval walk.
+/// Their buffers are pixel-interleaved (`buf[pixel * SLICE_LANES +
+/// lane]`), so the values one table sample or one detector coordinate
+/// touches in every slice are one contiguous 128-bit load — no gather.
 pub(crate) const SLICE_LANES: usize = 4;
 
 /// Line integrals of `SLICE_LANES` interleaved `w`-wide images along

@@ -327,6 +327,125 @@ fn sirt_slice_bits_do_not_depend_on_lane_or_neighbours() {
     }
 }
 
+/// Per-slice FBP exactly as the library ran it before the batch
+/// engine — the former `ReconPlan::fbp_slice_into` body, kept here as
+/// the dev-only oracle: filter the rows into a sinogram, then prescale
+/// and backproject that one slice through the one-slice kernel.
+struct FbpOracle {
+    filter: FilterPlan,
+    plan: ReconPlan,
+}
+
+impl FbpOracle {
+    fn new(geom: &Geometry, cfg: &FbpConfig, path: SimdPath) -> FbpOracle {
+        FbpOracle {
+            filter: FilterPlan::new(cfg.filter, geom.n_det).with_simd_path(path),
+            plan: ReconPlan::new(geom, cfg).unwrap().with_simd_path(path),
+        }
+    }
+
+    fn solve(&self, sino: &Sinogram) -> Vec<f32> {
+        let n = sino.n_det;
+        let mut filtered = Sinogram::zeros(sino.n_angles, n);
+        self.filter
+            .filter_rows(sino, &mut self.filter.make_buf(), &mut filtered);
+        let mut out = vec![0.0f32; n * n];
+        let scale = std::f64::consts::PI / sino.n_angles as f64;
+        self.plan
+            .backproject_acc(&filtered, scale, &mut self.plan.make_scratch(), &mut out);
+        out
+    }
+}
+
+#[test]
+fn fbp_lanes_are_bit_identical_to_the_per_slice_kernel() {
+    // 2·LANES + 1 slices: every batch size from one live lane to two
+    // full batches and a one-lane tail; few angles keep the debug
+    // build fast, odd counts leave the filter an unpaired final row
+    const MAX_BATCH: usize = 9;
+    for (n, n_angles) in [(37usize, 15usize), (48, 13), (96, 7), (129, 5)] {
+        let (sinos, geom) = slice_stack(n, n_angles, MAX_BATCH);
+        for path in [SimdPath::Scalar, SimdPath::Avx2] {
+            for mask_disk in [true, false] {
+                for filter in [FilterKind::RamLak, FilterKind::Hann, FilterKind::None] {
+                    let cfg = FbpConfig { filter, mask_disk };
+                    let what = format!("n {n} {path:?} mask {mask_disk} {filter:?}");
+                    let plan = ReconPlan::new(&geom, &cfg).unwrap().with_simd_path(path);
+                    let oracle = FbpOracle::new(&geom, &cfg, path);
+                    let mut scratch = plan.make_scratch();
+                    let expected: Vec<Vec<u32>> = sinos
+                        .iter()
+                        .map(|s| {
+                            let mut alone = vec![f32::NAN; n * n];
+                            plan.fbp_slice_into(s, &mut scratch, &mut alone);
+                            assert_eq!(bits(&alone), bits(&oracle.solve(s)), "{what}: oracle");
+                            bits(&alone)
+                        })
+                        .collect();
+                    // descending, through one scratch: a batch with idle
+                    // lanes follows one that filled them
+                    for batch in (1..=MAX_BATCH).rev() {
+                        let mut out = vec![f32::NAN; batch * n * n];
+                        plan.fbp_batch_into(&sinos[..batch], &mut scratch, &mut out);
+                        // full batches with a one-slice and a two-slice tail
+                        if batch == MAX_BATCH || batch == 6 {
+                            let vol = plan.fbp_volume(&sinos[..batch]).unwrap();
+                            assert_eq!(bits(&vol.data), bits(&out), "{what}: volume of {batch}");
+                        }
+                        for (z, got) in out.chunks_exact(n * n).enumerate() {
+                            assert_eq!(
+                                bits(got),
+                                expected[z],
+                                "{what}: slice {z} of batch {batch}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fbp_slice_bits_do_not_depend_on_lane_or_neighbours() {
+    let n = 37;
+    let (sinos, geom) = slice_stack(n, 19, 4);
+    // neighbours that would poison anything they leaked into
+    let mut wild = sinos[1].clone();
+    for (i, v) in wild.data.iter_mut().enumerate() {
+        *v = match i % 5 {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => -1e30,
+            _ => 1e30,
+        };
+    }
+    for path in [SimdPath::Scalar, SimdPath::Avx2] {
+        let plan = ReconPlan::new(&geom, &FbpConfig::default())
+            .unwrap()
+            .with_simd_path(path);
+        let mut scratch = plan.make_scratch();
+        let target = &sinos[0];
+        let mut alone = vec![0.0f32; n * n];
+        plan.fbp_slice_into(target, &mut scratch, &mut alone);
+        assert!(alone.iter().all(|v| v.is_finite()));
+        for lane in 0..4 {
+            for neighbour in [&sinos[2], &wild] {
+                let mut batch = vec![neighbour.clone(); 4];
+                batch[lane] = target.clone();
+                let mut out = vec![0.0f32; 4 * n * n];
+                plan.fbp_batch_into(&batch, &mut scratch, &mut out);
+                assert_eq!(
+                    bits(&out[lane * n * n..(lane + 1) * n * n]),
+                    bits(&alone),
+                    "{path:?}: lane {lane}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn simd_fbp_matches_scalar_fbp_on_shepp_logan() {
     // On non-AVX2 hosts `with_simd_path(Avx2)` clamps back to scalar and

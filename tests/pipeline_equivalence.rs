@@ -132,35 +132,40 @@ fn incremental_preview_is_bit_identical_to_from_scratch() {
 }
 
 /// Same equivalence when the acquisition is truncated — frames lost
-/// upstream must shrink both paths' geometry identically.
+/// upstream must shrink both paths' geometry identically. Three rows are
+/// one partial lane batch of the FBP engine, six a full batch plus a
+/// two-slice tail.
 #[test]
 fn incremental_preview_matches_from_scratch_on_partial_scans() {
-    let vol = shepp_logan_volume(32, 3);
-    let geom = Geometry::parallel_180(24, 32);
-    let det = DetectorConfig::default();
-    let mut sim = ScanSimulator::new(&vol, geom.clone(), det, 31);
-    let announce = announce_for(&sim, "partial", det.mu_scale);
-    // only 17 of the announced 24 frames arrive
-    let frames: Vec<SlabFrame> = sim
-        .all_frames()
-        .into_iter()
-        .take(17)
-        .map(|f| FrameSlab::detached(f.meta, f.data))
-        .collect();
+    for rows in [3usize, 6] {
+        let vol = shepp_logan_volume(32, rows);
+        let geom = Geometry::parallel_180(24, 32);
+        let det = DetectorConfig::default();
+        let mut sim = ScanSimulator::new(&vol, geom.clone(), det, 31);
+        let announce = announce_for(&sim, "partial", det.mu_scale);
+        // only 17 of the announced 24 frames arrive
+        let frames: Vec<SlabFrame> = sim
+            .all_frames()
+            .into_iter()
+            .take(17)
+            .map(|f| FrameSlab::detached(f.meta, f.data))
+            .collect();
 
-    let cfg = StreamerConfig::default();
-    let scratch = reconstruct_preview(&announce, &frames, &cfg, "partial").unwrap();
-    let announce = Arc::new(announce);
-    let mut scan = IncrementalScan::new(Arc::clone(&announce));
-    for f in &frames {
-        scan.ingest(f);
-    }
-    let incremental = scan.finish(&PlanCache::new(), &cfg.fbp, "partial").unwrap();
+        let cfg = StreamerConfig::default();
+        let scratch = reconstruct_preview(&announce, &frames, &cfg, "partial").unwrap();
+        let announce = Arc::new(announce);
+        let mut scan = IncrementalScan::new(Arc::clone(&announce));
+        for f in &frames {
+            scan.ingest(f);
+        }
+        let incremental = scan.finish(&PlanCache::new(), &cfg.fbp, "partial").unwrap();
 
-    assert_eq!(incremental.cached_frames, 17);
-    assert_eq!(incremental.dropped_frames, 7);
-    assert_eq!(scratch.dropped_frames, 7);
-    for (a, b) in incremental.slices.iter().zip(scratch.slices.iter()) {
-        assert_eq!(a.data, b.data);
+        assert_eq!(incremental.cached_frames, 17);
+        assert_eq!(incremental.dropped_frames, 7);
+        assert_eq!(scratch.dropped_frames, 7);
+        assert_eq!(incremental.slices[1].height, rows);
+        for (a, b) in incremental.slices.iter().zip(scratch.slices.iter()) {
+            assert_eq!(a.data, b.data, "{rows} rows");
+        }
     }
 }
