@@ -1,10 +1,9 @@
 //! Zero-copy multi-detector streaming benchmark.
 //!
-//! Measures the rebuilt `als-stream` hot path end to end: slab-pooled
-//! frames published once and shared by every consumer, bounded queues
-//! with exact drop accounting, incremental sinogram assembly, and N
-//! concurrent detector streams multiplexed onto one shared
-//! reconstruction plan.
+//! Measures the `als-stream` hot path end to end: slab-pooled frames
+//! published once and shared by every consumer, bounded queues with
+//! exact drop accounting, reconstruction on arrival, and N concurrent
+//! detector streams multiplexed onto one shared reconstruction plan.
 //!
 //! Writes `BENCH_stream.json` at the workspace root:
 //!
@@ -12,11 +11,16 @@
 //!   frames/s and preview-latency p50/p99,
 //! * proof the hot path performs **zero** pixel deep-copies and a
 //!   bounded slab working set,
-//! * the incremental-vs-from-scratch preview equivalence check
-//!   (bit-identical),
+//! * the reconstruct-on-arrival preview against the from-scratch
+//!   oracle (bit-identical), with what is left at scan end
+//!   (`scan_end_residual_ms`), what each frame costs on arrival
+//!   (`ingest_us_per_frame`) and the frame rate one core sustains
+//!   (`sustained_frames_per_s_one_core` — past it the queue grows),
 //! * a `core::faults` storm arm (brownout throttling + corruption
 //!   bursts) with the measured preview-latency SLO: the paper-scale
-//!   equivalent p99 must stay under 10 s on the sim clock.
+//!   equivalent p99 — the paper's *post-acquisition* reconstruction
+//!   model plus the measured machinery overhead — must stay under 10 s
+//!   on the sim clock.
 //!
 //! `--quick` (CI) runs a reduced problem and compares the single-stream
 //! wall time against the committed reference in
@@ -27,13 +31,13 @@ use als_flows::realmode::publish_scan_under_storm;
 use als_flows::streaming_model::streaming_timing;
 use als_phantom::{shepp_logan_volume, DetectorConfig, ScanSimulator};
 use als_stream::slab::{deep_copy_count, FrameSlab, SlabFrame};
-use als_stream::streamer::{reconstruct_preview, IncrementalScan, PlanCache, StreamerConfig};
+use als_stream::streamer::IncrementalScan;
 use als_stream::{
-    announce_for, publish_scan_pooled, DeliveryMode, FileWriterConfig, FileWriterService, SlabPool,
-    StreamHub,
+    announce_for, publish_scan_pooled, DeliveryMode, FileWriterConfig, FileWriterService,
+    ScanAnnounce, SlabPool, StreamHub,
 };
 use als_tomo::throughput::ScanDims;
-use als_tomo::{FbpConfig, Geometry};
+use als_tomo::{FbpConfig, Geometry, RawPrepPlan, ReconPlan, Sinogram, Volume};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -149,7 +153,7 @@ fn sweep_entry(streams: usize, scans: usize, n: usize, nz: usize, n_angles: usiz
     let (plans_built, plan_hits) = (hub.plans().misses(), hub.plans().hits());
 
     println!(
-        "{streams} stream(s) x {scans} scans: {frames_per_s:.0} frames/s, preview p50 {p50:.1} ms p99 {p99:.1} ms, {plans_built} plan(s) built ({plan_hits} cache hits), peak {max_slabs} slabs/stream, {dropped} dropped"
+        "{streams} stream(s) x {scans} scans: {frames_per_s:.0} frames/s, preview p50 {p50:.2} ms p99 {p99:.2} ms, {plans_built} plan(s) built ({plan_hits} cache hits), peak {max_slabs} slabs/stream, {dropped} dropped"
     );
     for lane in lanes {
         lane.close();
@@ -165,8 +169,34 @@ fn sweep_entry(streams: usize, scans: usize, n: usize, nz: usize, n_angles: usiz
     SweepResult { json, wall_s }
 }
 
-/// The incremental assembler against the retained from-scratch preview
-/// path: must be bit-identical.
+/// The from-scratch oracle: every sinogram row gathered and prepped from
+/// the whole frame list at scan end, a fresh plan on the arrival-order
+/// angles, one `fbp_volume`.
+fn oracle_volume(announce: &ScanAnnounce, frames: &[SlabFrame]) -> Volume {
+    let cols = announce.cols;
+    let (dark, flat) = (&announce.dark, &announce.flat);
+    let prep = RawPrepPlan::new(dark, flat, announce.rows, cols, announce.mu_scale, None);
+    let sinos: Vec<Sinogram> = (0..announce.rows)
+        .map(|r| {
+            let mut sino = Sinogram::zeros(frames.len(), cols);
+            for (a, frame) in frames.iter().enumerate() {
+                prep.prep_angle_row(r, &frame.data()[r * cols..(r + 1) * cols], sino.row_mut(a));
+            }
+            sino
+        })
+        .collect();
+    let geom = Geometry {
+        angles: frames.iter().map(|f| f.meta.angle_rad).collect(),
+        n_det: cols,
+        center: (cols as f64 - 1.0) / 2.0,
+    };
+    let plan = ReconPlan::new(&geom, &FbpConfig::default()).expect("scan geometry");
+    plan.fbp_volume(&sinos).expect("oracle volume")
+}
+
+/// Reconstruction on arrival against the from-scratch oracle: must be
+/// bit-identical. The ingest loop runs flat out on this thread with
+/// one worker, so its frame rate is what one core sustains.
 fn equivalence_entry(n: usize, nz: usize, n_angles: usize) -> String {
     let vol = shepp_logan_volume(n, nz);
     let geom = Geometry::parallel_180(n_angles, n);
@@ -178,46 +208,51 @@ fn equivalence_entry(n: usize, nz: usize, n_angles: usize) -> String {
         .into_iter()
         .map(|f| FrameSlab::detached(f.meta, f.data))
         .collect();
-    let cfg = StreamerConfig::default();
 
     let t = Instant::now();
-    let scratch = reconstruct_preview(&announce, &frames, &cfg, "equiv").expect("scratch");
+    let oracle = oracle_volume(&announce, &frames);
     let scratch_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let announce = Arc::new(announce);
-    let t = Instant::now();
+    rayon::set_num_threads(1);
+    // the first assembly builds the shared plan; the timed one finds it
+    drop(IncrementalScan::new(Arc::clone(&announce)));
     let mut scan = IncrementalScan::new(Arc::clone(&announce));
+    let t = Instant::now();
     for f in &frames {
         scan.ingest(f);
     }
-    let ingest_ms = t.elapsed().as_secs_f64() * 1e3;
+    let ingest_s = t.elapsed().as_secs_f64();
+    rayon::set_num_threads(0);
     let t = Instant::now();
-    let incremental = scan
-        .finish(&PlanCache::new(), &cfg.fbp, "equiv")
-        .expect("incremental");
-    let finish_ms = t.elapsed().as_secs_f64() * 1e3;
+    let preview = scan.finish("equiv").expect("preview");
+    let residual_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    let mut max_abs = 0.0f32;
-    let mut identical = true;
-    for (a, b) in incremental.slices.iter().zip(scratch.slices.iter()) {
-        identical &= a.data == b.data;
-        for (&x, &y) in a.data.iter().zip(b.data.iter()) {
-            max_abs = max_abs.max((x - y).abs());
-        }
-    }
+    let want = [
+        oracle.slice_xy(nz / 2),
+        oracle.slice_xz(n / 2),
+        oracle.slice_yz(n / 2),
+    ];
+    let identical = preview
+        .slices
+        .iter()
+        .zip(&want)
+        .all(|(a, b)| a.data == b.data);
     assert!(
         identical,
-        "incremental preview diverged from from-scratch (max abs diff {max_abs})"
+        "preview reconstructed on arrival diverged from the from-scratch oracle"
     );
+    let ingest_us = ingest_s * 1e6 / frames.len() as f64;
+    let sustained = frames.len() as f64 / ingest_s;
     println!(
-        "incremental equivalence: bit-identical; scan-end work {finish_ms:.1} ms vs from-scratch {scratch_ms:.1} ms (in-stream ingest {ingest_ms:.1} ms amortized over acquisition)"
+        "on-arrival equivalence ({n}x{n}x{nz}, {n_angles} angles): bit-identical; scan-end residual {residual_ms:.2} ms vs from-scratch {scratch_ms:.1} ms; ingest {ingest_us:.1} us/frame = {sustained:.0} frames/s sustained on one core"
     );
     format!(
-        "  {{\"bit_identical\": {identical}, \"max_abs_diff\": {}, \"scan_end_work_ms\": {}, \"from_scratch_ms\": {}, \"amortized_ingest_ms\": {}}}",
-        json_num(max_abs as f64),
-        json_num(finish_ms),
+        "  {{\"scan\": {{\"n\": {n}, \"nz\": {nz}, \"n_angles\": {n_angles}}}, \"bit_identical\": {identical}, \"scan_end_residual_ms\": {}, \"from_scratch_ms\": {}, \"ingest_us_per_frame\": {}, \"sustained_frames_per_s_one_core\": {}}}",
+        json_num(residual_ms),
         json_num(scratch_ms),
-        json_num(ingest_ms)
+        json_num(ingest_us),
+        json_num(sustained)
     )
 }
 
@@ -306,15 +341,16 @@ fn storm_entry(
     let p99 = percentile_ms(&feedback, 0.99);
     let recon_p50 = percentile_ms(&recon, 0.50);
 
-    // SLO on the sim clock: the calibrated paper-scale model says
-    // reconstruction takes ~7-8 s and the preview send <1 s on a NERSC
-    // GPU node. What the *streaming machinery* adds on top is additive,
-    // not proportional to recon cost — incremental assembly is amortized
-    // into acquisition, so scan-end work is recon + queueing + slice
-    // send. The measured p99 feedback minus median recon is that added
-    // overhead at its worst, under the storm; the paper-scale equivalent
-    // p99 (paper recon + paper send + measured overhead) must stay under
-    // the 10 s figure.
+    // SLO on the sim clock, against the paper's *post-acquisition*
+    // model: the calibrated paper-scale figures say reconstruction takes
+    // ~7-8 s and the preview send <1 s on a NERSC GPU node once the scan
+    // has ended (this service instead reconstructs while the scan
+    // arrives, so its own `recon_wall` is only the scan-end residual).
+    // What the *streaming machinery* adds on top is additive, not
+    // proportional to recon cost: the measured p99 feedback minus the
+    // median residual is that added overhead at its worst, under the
+    // storm; the paper-scale equivalent p99 (paper recon + paper send +
+    // measured overhead) must stay under the 10 s figure.
     let paper = streaming_timing(&ScanDims::paper_reference());
     let paper_recon_s = paper.recon.as_secs_f64();
     let paper_send_s = paper.preview_send.as_secs_f64();
@@ -322,15 +358,15 @@ fn storm_entry(
     let equivalent_p99_s = paper_recon_s + paper_send_s + overhead_p99_s;
     let pass = equivalent_p99_s < 10.0;
     println!(
-        "storm arm: {published} frames published, {corrupt} corrupt injected ({rejected_total} rejected downstream), {throttled} brownout-throttled; preview p50 {p50:.1} ms p99 {p99:.1} ms"
+        "storm arm: {published} frames published, {corrupt} corrupt injected ({rejected_total} rejected downstream), {throttled} brownout-throttled; preview p50 {p50:.2} ms p99 {p99:.2} ms"
     );
     println!(
-        "preview SLO: machinery overhead p99 = {:.2} ms; paper-scale equivalent p99 = {paper_recon_s:.1} s recon + {paper_send_s:.2} s send + overhead = {equivalent_p99_s:.2} s (target < 10 s) -> {}",
+        "preview SLO (paper's post-acquisition model): machinery overhead p99 = {:.2} ms; paper-scale equivalent p99 = {paper_recon_s:.1} s recon + {paper_send_s:.2} s send + overhead = {equivalent_p99_s:.2} s (target < 10 s) -> {}",
         overhead_p99_s * 1e3,
         if pass { "PASS" } else { "FAIL" }
     );
     let json = format!(
-        "  {{\"scans\": {scans}, \"frames_published\": {published}, \"corrupt_injected\": {corrupt}, \"corrupt_rejected\": {rejected_total}, \"brownout_throttled\": {throttled}, \"preview_p50_ms\": {}, \"preview_p99_ms\": {}, \"recon_p50_ms\": {}, \"slo\": {{\"paper_recon_s\": {}, \"paper_send_s\": {}, \"machinery_overhead_p99_ms\": {}, \"equivalent_p99_s\": {}, \"target_s\": 10.0, \"pass\": {pass}}}}}",
+        "  {{\"scans\": {scans}, \"frames_published\": {published}, \"corrupt_injected\": {corrupt}, \"corrupt_rejected\": {rejected_total}, \"brownout_throttled\": {throttled}, \"preview_p50_ms\": {}, \"preview_p99_ms\": {}, \"recon_p50_ms\": {}, \"slo\": {{\"model\": \"paper post-acquisition recon + send, plus measured machinery overhead\", \"paper_recon_s\": {}, \"paper_send_s\": {}, \"machinery_overhead_p99_ms\": {}, \"equivalent_p99_s\": {}, \"target_s\": 10.0, \"pass\": {pass}}}}}",
         json_num(p50),
         json_num(p99),
         json_num(recon_p50),
@@ -365,11 +401,16 @@ fn main() {
         .map(|&streams| sweep_entry(streams, scans, n, nz, n_angles))
         .collect();
 
-    let equivalence = equivalence_entry(n, nz, n_angles);
+    // full mode times the on-arrival path on `BENCHMARK.json`'s paced scan
+    let equivalence = if quick {
+        equivalence_entry(n, nz, n_angles)
+    } else {
+        equivalence_entry(128, 16, 180)
+    };
     let (storm, slo_pass) = storm_entry(storm_scans, n, nz, n_angles, frame_period);
 
-    // the whole bench — fanout, mirror-free dual consumers, incremental
-    // assembly, file writing — must not have deep-copied a single frame
+    // the whole bench — fanout, mirror-free dual consumers, on-arrival
+    // reconstruction, file writing — must not have deep-copied a frame
     let deep_copies = deep_copy_count() - deep_copies_before;
     assert_eq!(
         deep_copies, 0,
@@ -379,7 +420,7 @@ fn main() {
 
     let row_json: Vec<&str> = sweep.iter().map(|r| r.json.as_str()).collect();
     let json = format!(
-        "{{\n  \"bench\": \"stream\",\n  \"mode\": \"{}\",\n  \"note\": \"zero-copy multi-detector streaming: slab-pooled frames published once and shared by monitor/writer/preview consumers, bounded queues with exact drop accounting, incremental sinogram assembly (scan-end work = recon only), N streams multiplexed onto one shared ReconPlan; storm arm publishes under core::faults brownout+corruption with the paper-scale preview-latency SLO (equivalent p99 < 10 s on the sim clock)\",\n  \"scan\": {{\"n\": {n}, \"nz\": {nz}, \"n_angles\": {n_angles}}},\n  \"zero_copy\": {{\"frame_deep_copies\": {deep_copies}}},\n  \"quick_single_stream_wall_ms\": {},\n  \"stream_sweep\": [\n{}\n  ],\n  \"incremental_equivalence\": \n{},\n  \"storm\": \n{}\n}}\n",
+        "{{\n  \"bench\": \"stream\",\n  \"mode\": \"{}\",\n  \"note\": \"zero-copy multi-detector streaming: slab-pooled frames published once and shared by monitor/writer/preview consumers, bounded queues with exact drop accounting, frames filtered and backprojected on arrival (scan-end work = the residual; recon_p50_ms is that residual), N streams multiplexed onto one shared ReconPlan; on_arrival_equivalence carries the one-core ingest cost and the frame rate it sustains; storm arm publishes under core::faults brownout+corruption with the paper-scale preview-latency SLO on the paper's post-acquisition model (equivalent p99 < 10 s on the sim clock)\",\n  \"scan\": {{\"n\": {n}, \"nz\": {nz}, \"n_angles\": {n_angles}}},\n  \"zero_copy\": {{\"frame_deep_copies\": {deep_copies}}},\n  \"quick_single_stream_wall_ms\": {},\n  \"stream_sweep\": [\n{}\n  ],\n  \"on_arrival_equivalence\": \n{},\n  \"storm\": \n{}\n}}\n",
         if quick { "quick" } else { "full" },
         json_num(sweep[0].wall_s * 1e3),
         row_json.join(",\n"),

@@ -27,7 +27,8 @@ pub struct TimeStep {
     pub step: usize,
     /// Compaction state of the sample at this step (0 = fresh, 1 = crept).
     pub compaction: f64,
-    /// Wall seconds the streaming reconstruction took.
+    /// Wall seconds of streaming reconstruction left at scan end (the
+    /// rest ran while the frames arrived).
     pub recon_secs: f64,
     /// Wall seconds from scan end to preview in hand — the steering
     /// feedback latency the experimenter experiences.

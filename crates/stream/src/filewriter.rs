@@ -16,7 +16,7 @@
 use crate::channel::{StreamMessage, Subscription};
 use crate::ScanAnnounce;
 use als_scidata::ScanFile;
-use als_telemetry::Registry;
+use als_telemetry::{Counter, Registry};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -81,13 +81,8 @@ impl FileWriterHandle {
         self.completions_dropped.load(Ordering::Relaxed)
     }
 
-    /// Stop the service and join its thread.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stop the service and join its thread (what dropping it does).
+    pub fn stop(self) {}
 }
 
 impl Drop for FileWriterHandle {
@@ -133,14 +128,17 @@ impl FileWriterService {
         let completions_dropped2 = Arc::clone(&completions_dropped);
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
-        let metrics = cfg.registry.as_ref().map(|r| {
+        // without a registry the counters are detached: same code path
+        let counter = |name: &str| {
             let l = &[("stream", cfg.stream.as_str())][..];
-            (
-                r.counter("stream_writer_rejected_total", l),
-                r.counter("stream_scans_written_total", l),
-                r.counter("stream_writer_completions_dropped_total", l),
-            )
-        });
+            cfg.registry
+                .as_ref()
+                .map_or_else(Counter::default, |r| r.counter(name, l))
+        };
+        let rejected_metric = counter("stream_writer_rejected_total");
+        let scans_rejected = counter("stream_writer_scans_rejected_total");
+        let written = counter("stream_scans_written_total");
+        let completions_dropped_metric = counter("stream_writer_completions_dropped_total");
         let handle = std::thread::spawn(move || {
             let mut current: Option<ScanInProgress> = None;
             while !stop2.load(Ordering::Relaxed) {
@@ -151,32 +149,47 @@ impl FileWriterService {
                 };
                 match msg {
                     StreamMessage::ScanStart(announce) => {
-                        let capacity = announce.n_angles * announce.rows * announce.cols;
-                        current = Some(ScanInProgress {
-                            stack: Vec::with_capacity(capacity),
+                        // a contradictory announcement, or a stack this
+                        // host cannot hold, refuses the scan: its frames
+                        // are rejected one by one below
+                        let mut stack = Vec::new();
+                        let sized = announce.validate().is_ok()
+                            && stack
+                                .try_reserve_exact(
+                                    announce.n_angles * announce.rows * announce.cols,
+                                )
+                                .is_ok();
+                        current = sized.then(|| ScanInProgress {
+                            stack,
                             angles: Vec::with_capacity(announce.n_angles),
                             announce,
                             rejected: 0,
                         });
+                        if current.is_none() {
+                            scans_rejected.inc();
+                        }
                     }
                     StreamMessage::Frame(frame) => {
-                        if let Some(scan) = current.as_mut() {
-                            // validate metadata before writing, as the
-                            // production service does
-                            let a = &scan.announce;
-                            let valid = frame.meta.validate().is_ok()
+                        // validate metadata before writing, as the
+                        // production service does
+                        let valid = |a: &ScanAnnounce| {
+                            frame.meta.validate().is_ok()
                                 && frame.meta.rows == a.rows
                                 && frame.meta.cols == a.cols
-                                && frame.data().len() == a.rows * a.cols;
-                            if valid {
+                                && frame.data().len() == a.rows * a.cols
+                        };
+                        match current.as_mut() {
+                            Some(scan) if valid(&scan.announce) => {
                                 scan.stack.extend_from_slice(frame.data());
                                 scan.angles.push(frame.meta.angle_rad);
-                            } else {
-                                scan.rejected += 1;
-                                rejected2.fetch_add(1, Ordering::Relaxed);
-                                if let Some((rej, _, _)) = &metrics {
-                                    rej.inc();
+                            }
+                            // malformed, or no scan open to belong to
+                            refused => {
+                                if let Some(scan) = refused {
+                                    scan.rejected += 1;
                                 }
+                                rejected2.fetch_add(1, Ordering::Relaxed);
+                                rejected_metric.inc();
                             }
                         }
                         // `frame` drops here: the slab recycles mid-scan
@@ -202,9 +215,7 @@ impl FileWriterService {
                             std::fs::create_dir_all(&out_dir).ok();
                             let path = out_dir.join(format!("{scan_id}.sdf"));
                             if file.save(&path).is_ok() {
-                                if let Some((_, written, _)) = &metrics {
-                                    written.inc();
-                                }
+                                written.inc();
                                 let report = WrittenScan {
                                     scan_id: scan_id.to_string(),
                                     path,
@@ -214,9 +225,7 @@ impl FileWriterService {
                                 };
                                 if tx.try_send(report).is_err() {
                                     completions_dropped2.fetch_add(1, Ordering::Relaxed);
-                                    if let Some((_, _, cd)) = &metrics {
-                                        cd.inc();
-                                    }
+                                    completions_dropped_metric.inc();
                                 }
                             }
                         }
@@ -367,7 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn frames_without_scan_start_are_ignored() {
+    fn frames_without_scan_start_are_rejected_and_counted() {
         let dir = tmpdir("orphan");
         let server = PvaServer::new();
         let writer = FileWriterService::spawn(server.subscribe(64), &dir);
@@ -386,6 +395,7 @@ mod tests {
             scan_id: Arc::from("orphan"),
         });
         assert!(writer.wait_completion(Duration::from_millis(300)).is_none());
+        assert_eq!(writer.rejected_count(), 1);
         writer.stop();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -14,11 +14,11 @@
 //! * [`filewriter`] — the file-writing systemd-service substitute: it
 //!   validates each frame's metadata and appends pixels straight into
 //!   the scan container's projection stack as they arrive;
-//! * [`streamer`] — the NERSC streaming reconstruction service: preps
-//!   sinogram rows incrementally as frames arrive, reconstructs on scan
-//!   end through a shared plan cache, and sends a three-slice preview
-//!   back over a bounded ZeroMQ-style reply channel — the paper's
-//!   sub-10-second feedback path;
+//! * [`streamer`] — the NERSC streaming reconstruction service: preps,
+//!   filters and backprojects every frame as it arrives through a plan
+//!   from a shared cache, so scan end leaves only the hand-off, and
+//!   sends a three-slice preview back over a bounded ZeroMQ-style reply
+//!   channel — the paper's sub-10-second feedback path;
 //! * [`multiplex`] — N concurrent detector streams sharing one plan
 //!   cache and one telemetry registry.
 
@@ -54,6 +54,43 @@ pub struct ScanAnnounce {
     pub flat: Vec<u16>,
     /// Detector μ scaling, needed to invert counts to line integrals.
     pub mu_scale: f64,
+}
+
+impl ScanAnnounce {
+    /// Check the announcement against itself before anything is sized
+    /// from it: it arrives over the wire, and a consumer that trusted a
+    /// contradictory one would panic or over-allocate on its own thread.
+    pub fn validate(&self) -> Result<(), String> {
+        let frame_len = self
+            .rows
+            .checked_mul(self.cols)
+            .filter(|&len| len > 0)
+            .ok_or_else(|| format!("frame shape {}x{}", self.rows, self.cols))?;
+        if self.n_angles == 0 || self.n_angles.checked_mul(frame_len).is_none() {
+            return Err(format!("{} angles of {frame_len} pixels", self.n_angles));
+        }
+        if self.angles.len() != self.n_angles {
+            return Err(format!(
+                "{} angle values for {} announced angles",
+                self.angles.len(),
+                self.n_angles
+            ));
+        }
+        if self.dark.len() != frame_len || self.flat.len() != frame_len {
+            return Err(format!(
+                "dark/flat of {}/{} pixels for frames of {frame_len}",
+                self.dark.len(),
+                self.flat.len()
+            ));
+        }
+        if !(self.mu_scale.is_finite() && self.mu_scale > 0.0) {
+            return Err(format!("mu_scale {}", self.mu_scale));
+        }
+        if let Some(bad) = self.angles.iter().find(|a| !a.is_finite()) {
+            return Err(format!("projection angle {bad}"));
+        }
+        Ok(())
+    }
 }
 
 /// Build the start-of-scan announcement for a simulator acquisition.

@@ -1,33 +1,38 @@
 //! The NERSC streaming reconstruction service (§4.2.3, the <10 s path).
 //!
-//! Connects to the beamline's PVA mirror and assembles sinograms
-//! **incrementally**: every arriving frame's rows are dark/flat
-//! normalized and −log converted straight out of the shared slab into the
-//! per-row sinogram buffers, then the slab handle is released back to the
-//! pool. When the acquisition ends the sinograms are already prepped, so
-//! preview latency after scan end is reconstruction only — no re-reading
-//! of a whole-acquisition frame cache.
+//! Connects to the beamline's PVA mirror and reconstructs **while the
+//! scan is still arriving**. The plan for the announced geometry is
+//! fetched from the shared [`PlanCache`] at `ScanStart`; every arriving
+//! frame is one projection angle for all detector rows, so its rows are
+//! dark/flat normalized and −log converted straight out of the shared
+//! slab, the slab handle is released back to the pool, and the rows are
+//! filtered and backprojected into a running volume
+//! ([`als_tomo::FbpAccumulator`]). When the acquisition ends the volume
+//! is all but finished: preview latency after scan end is the last few
+//! pending angles, the hand-off out of the lane layout and the three
+//! slice extractions.
 //!
 //! Reconstruction plans are shared through a [`PlanCache`]: N concurrent
 //! detector streams with the same geometry multiplex onto one
 //! [`ReconPlan`] (filter response, FFT tables, trig, clip intervals built
-//! once), each stream keeping only its own scratch/sinogram state.
+//! once), each stream keeping only its own running volume.
 //!
 //! Previews return over a *bounded* reply channel; a preview abandoned
-//! because the beamline side is behind is counted, never silently lost.
-//! Per-stream ingest/drop/latency metrics export through `als-telemetry`.
+//! because the beamline side is behind is counted, never silently lost,
+//! and so is every scan or frame the service refuses. Per-stream
+//! ingest/drop/latency metrics export through `als-telemetry`.
 
 use crate::channel::{StreamMessage, Subscription};
-use crate::slab::{FrameSlab, SlabFrame};
+use crate::slab::FrameSlab;
 use crate::ScanAnnounce;
 use als_telemetry::{Counter, Histogram, Registry};
 use als_tomo::{
-    FbpConfig, FilterKind, Geometry, Image, RawPrepPlan, ReconPlan, Sinogram, TomoError,
+    FbpAccumulator, FbpConfig, FilterKind, Geometry, Image, RawPrepPlan, ReconPlan, TomoError,
 };
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -57,11 +62,8 @@ impl Default for StreamerConfig {
 
 /// Cache of [`ReconPlan`]s keyed by exact geometry + FBP settings, shared
 /// by every stream of a hub so N concurrent detectors reuse one plan.
-///
-/// The key holds the arrival-order angle set, so every scan that loses
-/// frames differently is a new geometry; the cache therefore keeps only
-/// the [`PLAN_CACHE_CAPACITY`] most recently used plans and counts what
-/// it evicts.
+/// It keeps only the [`PLAN_CACHE_CAPACITY`] most recently used plans
+/// and counts what it evicts.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     /// Most recently used first.
@@ -72,7 +74,7 @@ pub struct PlanCache {
 }
 
 /// Plans a [`PlanCache`] retains: room for a hub's handful of detector
-/// geometries, while a run of distinct truncated scans cannot pin more
+/// geometries, while a run of distinct announcements cannot pin more
 /// than this many interval tables (~40 MB each at paper scale).
 pub const PLAN_CACHE_CAPACITY: usize = 8;
 
@@ -102,6 +104,12 @@ impl PlanKey {
 impl PlanCache {
     pub fn new() -> Arc<PlanCache> {
         Arc::new(PlanCache::default())
+    }
+
+    /// The process-wide cache behind [`IncrementalScan::new`].
+    pub fn shared() -> &'static PlanCache {
+        static SHARED: OnceLock<PlanCache> = OnceLock::new();
+        SHARED.get_or_init(PlanCache::default)
     }
 
     /// A cache whose evictions also count into `registry` as
@@ -166,23 +174,42 @@ impl PlanCache {
     }
 }
 
-/// Incremental sinogram assembly for one in-flight acquisition: each
-/// frame is prepped into the per-row sinograms on arrival and its slab
-/// released, so scan end leaves nothing to do but reconstruct.
+/// One in-flight acquisition, reconstructed as it arrives: each frame
+/// is prepped, filtered and backprojected into the running volume on
+/// arrival and its slab released, so scan end leaves only the hand-off.
 pub struct IncrementalScan {
     announce: Arc<ScanAnnounce>,
     prep: RawPrepPlan,
-    /// One sinogram per detector row, rows filled in arrival order.
-    sinos: Vec<Sinogram>,
-    /// Projection angles in arrival order.
-    angles: Vec<f64>,
-    received: usize,
+    /// The running reconstruction on the announced geometry's plan.
+    volume: FbpAccumulator,
     rejected: usize,
+    ingest_busy: Duration,
 }
 
 impl IncrementalScan {
+    /// [`IncrementalScan::open`] with the default FBP settings on the
+    /// process-wide [`PlanCache::shared`]. Panics on an announcement
+    /// that [`ScanAnnounce::validate`] refuses.
     pub fn new(announce: Arc<ScanAnnounce>) -> IncrementalScan {
-        let capacity = announce.n_angles.max(1);
+        Self::open(announce, PlanCache::shared(), &FbpConfig::default())
+            .expect("a valid scan announcement")
+    }
+
+    /// Start assembling the announced scan on the (shared) plan of its
+    /// announced geometry. Fails on an announcement that contradicts
+    /// itself or describes a geometry no plan can be built for.
+    pub fn open(
+        announce: Arc<ScanAnnounce>,
+        plans: &PlanCache,
+        cfg: &FbpConfig,
+    ) -> Result<IncrementalScan, String> {
+        announce.validate()?;
+        let geom = Geometry {
+            angles: announce.angles.clone(),
+            n_det: announce.cols,
+            center: (announce.cols as f64 - 1.0) / 2.0,
+        };
+        let plan = plans.get(&geom, cfg).map_err(|e| e.to_string())?;
         let prep = RawPrepPlan::new(
             &announce.dark,
             &announce.flat,
@@ -191,54 +218,50 @@ impl IncrementalScan {
             announce.mu_scale,
             None,
         );
-        let sinos = (0..announce.rows)
-            .map(|_| Sinogram::zeros(capacity, announce.cols))
-            .collect();
-        IncrementalScan {
+        Ok(IncrementalScan {
+            volume: FbpAccumulator::new(plan, announce.rows),
             announce,
             prep,
-            sinos,
-            angles: Vec::with_capacity(capacity),
-            received: 0,
             rejected: 0,
-        }
+            ingest_busy: Duration::ZERO,
+        })
     }
 
-    /// Prep one frame's rows into the sinograms. Returns `false` (and
-    /// counts a rejection) when the frame's shape disagrees with the
-    /// announcement — a corrupted frame never poisons the assembly.
+    /// Prep one frame's rows and add its angle to the running volume.
+    /// Returns `false` (and counts a rejection) when the frame's shape
+    /// disagrees with the announcement or its `frame_id` does not name
+    /// the announced angle it carries — a corrupted frame never poisons
+    /// the reconstruction.
     pub fn ingest(&mut self, frame: &FrameSlab) -> bool {
         let a = &self.announce;
-        let ok = frame.meta.validate().is_ok()
-            && frame.meta.rows == a.rows
-            && frame.meta.cols == a.cols
-            && frame.data().len() == a.rows * a.cols;
+        let meta = &frame.meta;
+        let announced = a.angles.get(meta.frame_id).map(|t| t.to_bits());
+        let ok = meta.validate().is_ok()
+            && meta.rows == a.rows
+            && meta.cols == a.cols
+            && frame.data().len() == a.rows * a.cols
+            && announced == Some(meta.angle_rad.to_bits());
         if !ok {
             self.rejected += 1;
             return false;
         }
         let cols = a.cols;
-        let slot = self.received;
-        if slot >= self.sinos.first().map_or(0, |s| s.n_angles) {
-            // more frames than announced: grow every row buffer by one
-            for sino in &mut self.sinos {
-                sino.data.extend(std::iter::repeat_n(0.0, cols));
-                sino.n_angles += 1;
-            }
+        let rows = frame.data().chunks_exact(cols);
+        for (r, (raw, dst)) in rows
+            .zip(self.volume.stage_mut().chunks_exact_mut(cols))
+            .enumerate()
+        {
+            self.prep.prep_angle_row(r, raw, dst);
         }
-        let data = frame.data();
-        for (r, sino) in self.sinos.iter_mut().enumerate() {
-            self.prep
-                .prep_angle_row(r, &data[r * cols..(r + 1) * cols], sino.row_mut(slot));
-        }
-        self.angles.push(frame.meta.angle_rad);
-        self.received += 1;
+        let t_push = Instant::now();
+        self.volume.push(meta.frame_id);
+        self.ingest_busy += t_push.elapsed();
         true
     }
 
-    /// Frames prepped so far.
+    /// Frames reconstructed so far.
     pub fn received(&self) -> usize {
-        self.received
+        self.volume.pushed()
     }
 
     /// Frames rejected by shape/metadata validation so far.
@@ -246,25 +269,15 @@ impl IncrementalScan {
         self.rejected
     }
 
-    /// Finish the acquisition: truncate to the frames that arrived,
-    /// reconstruct through the (shared) plan, and assemble the preview.
-    pub fn finish(mut self, plans: &PlanCache, cfg: &FbpConfig, scan_id: &str) -> Option<Preview> {
-        if self.received == 0 {
+    /// Finish the acquisition: flush the last pending angles, rescale
+    /// when frames were lost or repeated, and assemble the preview.
+    pub fn finish(self, scan_id: &str) -> Option<Preview> {
+        let received = self.received();
+        if received == 0 {
             return None;
         }
         let t_recon = Instant::now();
-        let cols = self.announce.cols;
-        for sino in &mut self.sinos {
-            sino.data.truncate(self.received * cols);
-            sino.n_angles = self.received;
-        }
-        let geom = Geometry {
-            angles: self.angles,
-            n_det: cols,
-            center: (cols as f64 - 1.0) / 2.0,
-        };
-        let plan = plans.get(&geom, cfg).ok()?;
-        let vol = plan.fbp_volume(&self.sinos).ok()?;
+        let vol = self.volume.finish();
         let recon_wall = t_recon.elapsed();
 
         let t_send = Instant::now();
@@ -277,9 +290,10 @@ impl IncrementalScan {
         Some(Preview {
             scan_id: scan_id.to_string(),
             slices,
-            cached_frames: self.received,
-            dropped_frames: self.announce.n_angles.saturating_sub(self.received),
+            cached_frames: received,
+            dropped_frames: self.announce.n_angles.saturating_sub(received),
             rejected_frames: self.rejected,
+            ingest_busy: self.ingest_busy,
             recon_wall,
             send_wall,
             feedback_wall: recon_wall + send_wall,
@@ -294,19 +308,24 @@ pub struct Preview {
     pub scan_id: String,
     /// XY (axial), XZ and YZ slices through the volume center.
     pub slices: [Image; 3],
-    /// Frames that were assembled when the scan ended.
+    /// Frames in the reconstruction when the scan ended.
     pub cached_frames: usize,
     /// Frames the announcement promised but that never arrived (dropped
     /// upstream or rejected).
     pub dropped_frames: usize,
     /// Frames rejected by shape/metadata validation.
     pub rejected_frames: usize,
-    /// Wall-clock reconstruction time.
+    /// Filter + backprojection time spent as the frames arrived, summed
+    /// over the scan: the reconstruction work that overlapped acquisition.
+    pub ingest_busy: Duration,
+    /// Wall-clock reconstruction time left at scan end: the residual
+    /// after [`Preview::ingest_busy`] (pending angles + hand-off).
     pub recon_wall: Duration,
     /// Wall-clock preview serialization + send time.
     pub send_wall: Duration,
     /// Wall clock from scan end to preview ready — the paper's <10 s
-    /// feedback figure. Recon-only because assembly happened in-stream.
+    /// feedback figure. Residual-only because reconstruction happened
+    /// in-stream.
     pub feedback_wall: Duration,
 }
 
@@ -327,13 +346,18 @@ impl PreviewChannel {
     }
 }
 
+#[derive(Default)]
 struct StreamMetrics {
     ingested: Counter,
     rejected: Counter,
+    scans_rejected: Counter,
+    scans_abandoned: Counter,
     previews: Counter,
     previews_dropped: Counter,
     feedback_us: Histogram,
+    /// Scan-end residual ([`Preview::recon_wall`]).
     recon_us: Histogram,
+    ingest_busy_us: Histogram,
 }
 
 impl StreamMetrics {
@@ -342,10 +366,13 @@ impl StreamMetrics {
         StreamMetrics {
             ingested: registry.counter("stream_frames_ingested_total", l),
             rejected: registry.counter("stream_frames_rejected_total", l),
+            scans_rejected: registry.counter("stream_scans_rejected_total", l),
+            scans_abandoned: registry.counter("stream_scans_abandoned_total", l),
             previews: registry.counter("stream_previews_total", l),
             previews_dropped: registry.counter("stream_previews_dropped_total", l),
             feedback_us: registry.histogram("stream_preview_feedback_us", l),
             recon_us: registry.histogram("stream_preview_recon_us", l),
+            ingest_busy_us: registry.histogram("stream_preview_ingest_busy_us", l),
         }
     }
 }
@@ -378,10 +405,13 @@ impl StreamingReconService {
         let dropped2 = Arc::clone(&dropped);
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
-        let metrics = cfg
+        // without a registry the counters are detached: same code path
+        let m = cfg
             .registry
             .as_ref()
-            .map(|r| StreamMetrics::new(r, &cfg.stream));
+            .map_or_else(StreamMetrics::default, |r| {
+                StreamMetrics::new(r, &cfg.stream)
+            });
         let handle = std::thread::spawn(move || {
             let mut current: Option<IncrementalScan> = None;
             while !stop2.load(Ordering::Relaxed) {
@@ -392,18 +422,22 @@ impl StreamingReconService {
                 };
                 match msg {
                     StreamMessage::ScanStart(announce) => {
-                        current = Some(IncrementalScan::new(announce));
+                        if current.take().is_some() {
+                            // the previous scan never ended: no preview
+                            m.scans_abandoned.inc();
+                        }
+                        match IncrementalScan::open(announce, &plans, &cfg.fbp) {
+                            Ok(scan) => current = Some(scan),
+                            Err(_) => m.scans_rejected.inc(),
+                        }
                     }
                     StreamMessage::Frame(frame) => {
-                        if let Some(scan) = current.as_mut() {
-                            let ok = scan.ingest(&frame);
-                            if let Some(m) = &metrics {
-                                if ok {
-                                    m.ingested.inc();
-                                } else {
-                                    m.rejected.inc();
-                                }
-                            }
+                        // a frame with no scan open (none announced, or
+                        // its announcement refused) is rejected too
+                        if current.as_mut().is_some_and(|scan| scan.ingest(&frame)) {
+                            m.ingested.inc();
+                        } else {
+                            m.rejected.inc();
                         }
                         // `frame` drops here: slab returns to its pool
                     }
@@ -412,17 +446,15 @@ impl StreamingReconService {
                             continue;
                         };
                         let t_end = Instant::now();
-                        if let Some(preview) = scan.finish(&plans, &cfg.fbp, &scan_id) {
-                            if let Some(m) = &metrics {
-                                m.previews.inc();
-                                m.recon_us.record(preview.recon_wall.as_micros() as u64);
-                                m.feedback_us.record(t_end.elapsed().as_micros() as u64);
-                            }
+                        if let Some(preview) = scan.finish(&scan_id) {
+                            m.previews.inc();
+                            m.ingest_busy_us
+                                .record(preview.ingest_busy.as_micros() as u64);
+                            m.recon_us.record(preview.recon_wall.as_micros() as u64);
+                            m.feedback_us.record(t_end.elapsed().as_micros() as u64);
                             if tx.try_send(preview).is_err() {
                                 dropped2.fetch_add(1, Ordering::Relaxed);
-                                if let Some(m) = &metrics {
-                                    m.previews_dropped.inc();
-                                }
+                                m.previews_dropped.inc();
                             }
                         }
                     }
@@ -438,12 +470,8 @@ impl StreamingReconService {
         )
     }
 
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stop the service and join its thread (what dropping it does).
+    pub fn stop(self) {}
 }
 
 impl Drop for StreamingReconService {
@@ -453,65 +481,6 @@ impl Drop for StreamingReconService {
             let _ = h.join();
         }
     }
-}
-
-/// From-scratch preview reconstruction over a cached frame list: gathers
-/// and preps every sinogram row from the cache at scan end, the way the
-/// pre-incremental service worked. Retained as the equivalence baseline
-/// (the incremental path must match it bit for bit) and as the "before"
-/// arm of the streaming bench.
-pub fn reconstruct_preview(
-    announce: &ScanAnnounce,
-    cache: &[SlabFrame],
-    cfg: &StreamerConfig,
-    scan_id: &str,
-) -> Option<Preview> {
-    let t_recon = Instant::now();
-    let angles: Vec<f64> = cache.iter().map(|f| f.meta.angle_rad).collect();
-    let geom = Geometry {
-        angles,
-        n_det: announce.cols,
-        center: (announce.cols as f64 - 1.0) / 2.0,
-    };
-    let cols = announce.cols;
-    let prep = RawPrepPlan::new(
-        &announce.dark,
-        &announce.flat,
-        announce.rows,
-        cols,
-        announce.mu_scale,
-        None,
-    );
-    let sinos: Vec<Sinogram> = (0..announce.rows)
-        .map(|r| {
-            let mut sino = Sinogram::zeros(cache.len(), cols);
-            for (a, frame) in cache.iter().enumerate() {
-                prep.prep_angle_row(r, &frame.data()[r * cols..(r + 1) * cols], sino.row_mut(a));
-            }
-            sino
-        })
-        .collect();
-    let plan = ReconPlan::new(&geom, &cfg.fbp).ok()?;
-    let vol = plan.fbp_volume(&sinos).ok()?;
-    let recon_wall = t_recon.elapsed();
-
-    let t_send = Instant::now();
-    let slices = [
-        vol.slice_xy(vol.nz / 2),
-        vol.slice_xz(vol.ny / 2),
-        vol.slice_yz(vol.nx / 2),
-    ];
-    let send_wall = t_send.elapsed();
-    Some(Preview {
-        scan_id: scan_id.to_string(),
-        slices,
-        cached_frames: cache.len(),
-        dropped_frames: announce.n_angles.saturating_sub(cache.len()),
-        rejected_frames: 0,
-        recon_wall,
-        send_wall,
-        feedback_wall: recon_wall + send_wall,
-    })
 }
 
 #[cfg(test)]
@@ -629,19 +598,19 @@ mod tests {
         let cfg = FbpConfig::default();
         let full = TomoGeometry::parallel_180(120, 16);
         plans.get(&full, &cfg).unwrap();
-        // 100 scans that each lost a different number of frames, the
-        // full-length scan recurring between them as on a live beamline
-        for lost in 1..=100 {
-            let truncated = TomoGeometry {
-                angles: full.angles[..full.angles.len() - lost].to_vec(),
+        // 100 one-off announced geometries, the routine scan recurring
+        // between them as on a live beamline
+        for fewer in 1..=100 {
+            let one_off = TomoGeometry {
+                angles: full.angles[..full.angles.len() - fewer].to_vec(),
                 ..full.clone()
             };
-            plans.get(&truncated, &cfg).unwrap();
+            plans.get(&one_off, &cfg).unwrap();
             plans.get(&full, &cfg).unwrap();
         }
         assert_eq!(plans.len(), PLAN_CACHE_CAPACITY);
-        assert_eq!(plans.misses(), 101, "the full-length plan was built once");
-        assert_eq!(plans.hits(), 100, "full-length scans still hit");
+        assert_eq!(plans.misses(), 101, "the routine plan was built once");
+        assert_eq!(plans.hits(), 100, "routine scans still hit");
         let evicted = 101 - PLAN_CACHE_CAPACITY as u64;
         assert_eq!(plans.evictions(), evicted);
         let snap = registry.snapshot();
@@ -689,17 +658,28 @@ mod tests {
             },
             vec![50; 16],
         );
+        // the right shape, but not the angle announced for its id
+        let wrong_angle = crate::slab::FrameSlab::detached(
+            FrameMeta {
+                frame_id: 2,
+                angle_rad: 0.1,
+                n_angles: 3,
+                rows: 2,
+                cols: 2,
+            },
+            vec![50; 4],
+        );
         assert!(scan.ingest(&good));
         assert!(!scan.ingest(&bad_shape));
+        assert!(!scan.ingest(&wrong_angle));
         assert_eq!(scan.received(), 1);
-        assert_eq!(scan.rejected(), 1);
-        let plans = PlanCache::new();
+        assert_eq!(scan.rejected(), 2);
         let p = scan
-            .finish(&plans, &FbpConfig::default(), "reject")
+            .finish("reject")
             .expect("preview from the surviving frame");
         assert_eq!(p.cached_frames, 1);
         assert_eq!(p.dropped_frames, 2);
-        assert_eq!(p.rejected_frames, 1);
+        assert_eq!(p.rejected_frames, 2);
     }
 
     #[test]

@@ -187,59 +187,71 @@ impl FilterPlan {
     /// `emit(angle, bin, value)` — so a consumer with its own layout
     /// (the backprojector's prescaled, lane-interleaved rows) takes the
     /// samples straight from the FFT buffer instead of from an
-    /// intermediate sinogram. Two real rows are packed per complex FFT:
-    /// the response is real, so scaling the packed spectrum filters
-    /// both rows at once and the inverse FFT leaves row `a` in the real
-    /// parts and row `a+1` in the imaginary parts. `cbuf` is
-    /// caller-owned scratch (reused across calls); only its padded tail
-    /// is cleared — the head is overwritten by row data.
+    /// intermediate sinogram. Rows are filtered two at a time
+    /// ([`FilterPlan::filter_pair_with`]), a lone last row on its own.
     pub(crate) fn filter_rows_with(
         &self,
         sino: &Sinogram,
         cbuf: &mut [Complex],
         mut emit: impl FnMut(usize, usize, f32),
     ) {
-        assert_eq!(sino.n_det, self.n_det, "detector width mismatch");
+        for a in (0..sino.n_angles).step_by(2) {
+            let r1 = (a + 1 < sino.n_angles).then(|| sino.row(a + 1));
+            self.filter_pair_with(sino.row(a), r1, cbuf, |which, t, v| emit(a + which, t, v));
+        }
+    }
+
+    /// Filter one row, or two with a single FFT round trip, handing each
+    /// filtered sample to `emit(which, bin, value)` (`which` is 0 for
+    /// `r0`, 1 for `r1`). Two real rows are packed per complex FFT: the
+    /// response is real, so scaling the packed spectrum filters both
+    /// rows at once and the inverse FFT leaves `r0` in the real parts
+    /// and `r1` in the imaginary parts. `cbuf` is caller-owned scratch
+    /// (reused across calls); only its padded tail is cleared — the head
+    /// is overwritten by row data.
+    pub(crate) fn filter_pair_with(
+        &self,
+        r0: &[f32],
+        r1: Option<&[f32]>,
+        cbuf: &mut [Complex],
+        mut emit: impl FnMut(usize, usize, f32),
+    ) {
+        let nd = self.n_det;
+        assert_eq!(r0.len(), nd, "detector width mismatch");
+        assert!(r1.is_none_or(|r| r.len() == nd), "detector width mismatch");
         assert_eq!(cbuf.len(), self.pad, "scratch buffer length mismatch");
-        let nd = sino.n_det;
         if self.response.is_empty() {
-            for a in 0..sino.n_angles {
-                for (t, &v) in sino.row(a).iter().enumerate() {
-                    emit(a, t, v);
+            for (which, row) in std::iter::once(r0).chain(r1).enumerate() {
+                for (t, &v) in row.iter().enumerate() {
+                    emit(which, t, v);
                 }
             }
             return;
         }
-        let mut a = 0usize;
-        while a < sino.n_angles {
-            let packed = a + 1 < sino.n_angles;
-            let r0 = sino.row(a);
-            if packed {
-                let r1 = sino.row(a + 1);
+        match r1 {
+            Some(r1) => {
                 for ((c, &v0), &v1) in cbuf.iter_mut().zip(r0.iter()).zip(r1.iter()) {
                     *c = Complex::new(v0 as f64, v1 as f64);
                 }
-            } else {
+            }
+            None => {
                 for (c, &v0) in cbuf.iter_mut().zip(r0.iter()) {
                     *c = Complex::from_re(v0 as f64);
                 }
             }
-            for c in cbuf[nd..].iter_mut() {
-                *c = Complex::ZERO;
-            }
-            self.fft.forward(cbuf);
-            crate::simd::scale_spectrum(self.path, cbuf, &self.resp2);
-            self.fft.inverse(cbuf);
+        }
+        for c in cbuf[nd..].iter_mut() {
+            *c = Complex::ZERO;
+        }
+        self.fft.forward(cbuf);
+        crate::simd::scale_spectrum(self.path, cbuf, &self.resp2);
+        self.fft.inverse(cbuf);
+        for (t, c) in cbuf[..nd].iter().enumerate() {
+            emit(0, t, c.re as f32);
+        }
+        if r1.is_some() {
             for (t, c) in cbuf[..nd].iter().enumerate() {
-                emit(a, t, c.re as f32);
-            }
-            if packed {
-                for (t, c) in cbuf[..nd].iter().enumerate() {
-                    emit(a + 1, t, c.im as f32);
-                }
-                a += 2;
-            } else {
-                a += 1;
+                emit(1, t, c.im as f32);
             }
         }
     }

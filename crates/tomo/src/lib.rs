@@ -69,7 +69,7 @@ pub use pipeline::{
     PipelineConfig, PipelineError, PipelineReport, ProjectionSource, ReconKind, SliceSink,
     VolumeSink,
 };
-pub use plan::{GridrecPlan, GridrecScratch, ReconPlan, ReconScratch};
+pub use plan::{FbpAccumulator, GridrecPlan, GridrecScratch, ReconPlan, ReconScratch};
 pub use prep::{PaganinPlan, PrepPlan, RawPrepPlan, SinoPostPlan, SinoPostScratch};
 pub use quality::{mse, psnr, ssim};
 pub use radon::{backproject, forward_project};

@@ -48,6 +48,10 @@
 //!   instead of a gather. Every lane repeats the per-slice kernel's
 //!   arithmetic exactly, so a slice's bits do not depend on its batch.
 //!
+//! [`FbpAccumulator`] runs the same filter pairing and lane kernel over
+//! the plan's tables one arriving projection angle at a time, for the
+//! streaming service that reconstructs while the scan is acquired.
+//!
 //! The pre-plan implementations are retained verbatim in
 //! [`crate::reference`]; equivalence tests and the `kernels` bench
 //! compare against them.
@@ -62,6 +66,7 @@ use crate::radon::in_recon_disk;
 use crate::simd::SLICE_LANES;
 use crate::TomoError;
 use rayon::prelude::*;
+use std::sync::Arc;
 
 /// Everything invariant across slices for filtered back projection of a
 /// fixed `(Geometry, FbpConfig)` pair.
@@ -214,33 +219,7 @@ impl ReconPlan {
         assert_eq!(out.len(), n * n, "output buffer size mismatch");
         let rowf = &mut scratch.rowsf[..n + 1];
         prescale_row(row, scale, rowf);
-        let (_, cos_t) = self.trig[a];
-        let c = (n as f64 - 1.0) / 2.0;
-        for y in 0..n {
-            let (xa, xb) = self.intervals[a * n + y];
-            let (xa, xb) = (xa as usize, xb as usize);
-            if xa >= xb {
-                continue;
-            }
-            let t0 = self.t_start(a, y, xa, c);
-            crate::simd::backproject_row(
-                self.path,
-                rowf,
-                t0,
-                cos_t,
-                &mut out[y * n + xa..y * n + xb],
-            );
-        }
-    }
-
-    /// Detector coordinate of pixel `(xa, y)` at angle `a`, with the
-    /// same float association as the interval predicate so the kernel
-    /// never starts outside `[0, n_det − 1]`.
-    #[inline]
-    fn t_start(&self, a: usize, y: usize, xa: usize, c: f64) -> f64 {
-        let (sin_t, cos_t) = self.trig[a];
-        let yr = y as f64 - c;
-        (xa as f64 - c) * cos_t + (yr * sin_t + self.geom.center)
+        self.backproject_angle_rows(1, a, rowf, 0..n, out, crate::simd::backproject_row);
     }
 
     /// The backprojection of `SLICE_LANES` pixel-interleaved slices at
@@ -293,25 +272,44 @@ impl ReconPlan {
             self.trig.len() * stride,
             "projection rows do not match the plan geometry"
         );
+        for (a, rowf) in rowsf.chunks_exact(stride).enumerate() {
+            self.backproject_angle_rows(lanes, a, rowf, rows.clone(), acc, &row_kernel);
+        }
+    }
+
+    /// One projection angle (index `a` of the plan's geometry, `rowf`
+    /// its prescaled row with the sentinel bin) accumulated into the
+    /// tile `acc` of output rows `rows`. The detector coordinate has the
+    /// same float association as the interval predicate, so the kernel
+    /// never starts outside `[0, n_det − 1]`.
+    #[inline]
+    fn backproject_angle_rows(
+        &self,
+        lanes: usize,
+        a: usize,
+        rowf: &[f32],
+        rows: std::ops::Range<usize>,
+        acc: &mut [f32],
+        row_kernel: impl Fn(crate::simd::SimdPath, &[f32], f64, f64, &mut [f32]),
+    ) {
+        let n = self.geom.n_det;
         let c = (n as f64 - 1.0) / 2.0;
-        for (a, &(sin_t, cos_t)) in self.trig.iter().enumerate() {
-            let rowf = &rowsf[a * stride..(a + 1) * stride];
-            let ivals = &self.intervals[a * n + rows.start..a * n + rows.end];
-            for (dy, &(xa, xb)) in ivals.iter().enumerate() {
-                let (xa, xb) = (xa as usize, xb as usize);
-                if xa >= xb {
-                    continue;
-                }
-                let yr = (rows.start + dy) as f64 - c;
-                let t0 = (xa as f64 - c) * cos_t + (yr * sin_t + self.geom.center);
-                row_kernel(
-                    self.path,
-                    rowf,
-                    t0,
-                    cos_t,
-                    &mut acc[(dy * n + xa) * lanes..(dy * n + xb) * lanes],
-                );
+        let (sin_t, cos_t) = self.trig[a];
+        let ivals = &self.intervals[a * n + rows.start..a * n + rows.end];
+        for (dy, &(xa, xb)) in ivals.iter().enumerate() {
+            let (xa, xb) = (xa as usize, xb as usize);
+            if xa >= xb {
+                continue;
             }
+            let yr = (rows.start + dy) as f64 - c;
+            let t0 = (xa as f64 - c) * cos_t + (yr * sin_t + self.geom.center);
+            row_kernel(
+                self.path,
+                rowf,
+                t0,
+                cos_t,
+                &mut acc[(dy * n + xa) * lanes..(dy * n + xb) * lanes],
+            );
         }
     }
 
@@ -447,6 +445,197 @@ impl ReconPlan {
     pub fn forward_angle_into(&self, img: &Image, a: usize, out: &mut [f32]) {
         let (sin_t, cos_t) = self.trig[a];
         crate::radon::project_angle_into(img, &self.geom, sin_t, cos_t, out);
+    }
+}
+
+/// Filtered back projection of a scan whose projections arrive one
+/// angle at a time — every slice's row of that angle at once, the way a
+/// detector frame delivers them — so the reconstruction is spent while
+/// the scan is still being acquired and [`FbpAccumulator::finish`] has
+/// almost nothing left to do.
+///
+/// FBP is linear in the angles: the volume is the sum over angles of
+/// each filtered row smeared across the image. The accumulator keeps
+/// that running sum lane-interleaved ([`SLICE_LANES`] slices per pixel,
+/// as [`ReconPlan::fbp_batch_into`] does per tile) and feeds it in
+/// arrival order: angles are filtered two per packed FFT exactly as
+/// [`FilterPlan::filter_rows_with`] pairs them (first with second
+/// pushed, third with fourth, a lone last one unpacked), weighted by the
+/// plan's `π / n_angles` in f64 and rounded once, and backprojected
+/// through [`crate::simd::backproject_row_lanes`] a few angles per
+/// row-tile sweep. Every pixel therefore receives the same adds in the
+/// same order as in [`ReconPlan::fbp_volume`] of the sinograms with the
+/// pushed angles as their rows: pushing every angle of the plan in plan
+/// order gives that volume bit for bit.
+///
+/// Angles may be skipped or repeated. The plan's weight assumes all of
+/// its angles, so `finish` rescales the sum by `n_angles / pushed` (one
+/// f32 multiply per voxel, exactly `1.0` for a complete scan).
+pub struct FbpAccumulator {
+    plan: Arc<ReconPlan>,
+    n_slices: usize,
+    /// The running volume: one pixel-interleaved `n² × SLICE_LANES`
+    /// image per lane batch of slices.
+    vol4: Vec<f32>,
+    /// The caller's rows of the next angle (`n_slices × n_det`).
+    staged: Vec<f32>,
+    /// Rows of the angle waiting for its FFT partner, and its plan index.
+    held: Vec<f32>,
+    held_angle: Option<usize>,
+    /// Filtered, prescaled rows of the angles not yet backprojected,
+    /// `pending[((batch·K + k)·(n_det+1) + t)·L + lane]` with `K` =
+    /// [`FbpAccumulator::SWEEP_ANGLES`]. Allocated zeroed and only bins
+    /// `t < n_det` of live lanes are ever written, so the sentinel bins
+    /// stay `0.0` and idle lanes accumulate zeros.
+    pending: Vec<f32>,
+    /// Plan indices of the pending angles, in arrival order.
+    pending_angles: Vec<usize>,
+    cbuf: Vec<Complex>,
+    pushed: usize,
+}
+
+impl FbpAccumulator {
+    /// An empty accumulator for `n_slices` slices of `plan`'s geometry.
+    pub fn new(plan: Arc<ReconPlan>, n_slices: usize) -> FbpAccumulator {
+        let n = plan.geom.n_det;
+        let batches = n_slices.div_ceil(SLICE_LANES);
+        FbpAccumulator {
+            n_slices,
+            vol4: vec![0.0; batches * n * n * SLICE_LANES],
+            staged: vec![0.0; n_slices * n],
+            held: vec![0.0; n_slices * n],
+            held_angle: None,
+            pending: vec![0.0; batches * Self::SWEEP_ANGLES * (n + 1) * SLICE_LANES],
+            pending_angles: Vec::with_capacity(Self::SWEEP_ANGLES),
+            cbuf: plan.filter.make_buf(),
+            pushed: 0,
+            plan,
+        }
+    }
+
+    /// Where the caller writes the next angle's rows, slice `s` at
+    /// `[s·n_det .. (s+1)·n_det]`, before [`FbpAccumulator::push`].
+    pub fn stage_mut(&mut self) -> &mut [f32] {
+        &mut self.staged
+    }
+
+    /// Angles pushed so far.
+    pub fn pushed(&self) -> usize {
+        self.pushed
+    }
+
+    /// Filtered angles the accumulator gathers before it sweeps them
+    /// over the running volume. A sweep walks the whole volume through the
+    /// cache once, so more angles per sweep amortize that walk further,
+    /// while the angles still pending when the scan ends are what the
+    /// preview waits for. Walk and kernel time both grow with the volume,
+    /// so the angle count that balances them does not depend on its size:
+    /// 4 to 14 measured the same ingest cost per frame on 16 × 128² slices
+    /// (DESIGN.md §14) and 8 kept the scan-end flush under a millisecond.
+    /// Even, because angles are filtered in pairs.
+    pub const SWEEP_ANGLES: usize = 8;
+
+    /// Take the staged rows as projection angle `a` of the plan's
+    /// geometry. Panics when the plan has no such angle.
+    pub fn push(&mut self, a: usize) {
+        assert!(a < self.plan.trig.len(), "angle {a} is not in the plan");
+        self.pushed += 1;
+        if self.held_angle.is_none() {
+            std::mem::swap(&mut self.held, &mut self.staged);
+            self.held_angle = Some(a);
+            return;
+        }
+        self.filter_held(Some(a));
+        if self.pending_angles.len() == Self::SWEEP_ANGLES {
+            self.sweep();
+        }
+    }
+
+    /// Filter the held angle — packed with the staged one when it is
+    /// `partner` — into the next pending slots.
+    fn filter_held(&mut self, partner: Option<usize>) {
+        let held = self.held_angle.take().expect("an angle is held");
+        let plan = &*self.plan;
+        let n = plan.geom.n_det;
+        let stride = (n + 1) * SLICE_LANES;
+        let k0 = self.pending_angles.len();
+        for s in 0..self.n_slices {
+            let (batch, lane) = (s / SLICE_LANES, s % SLICE_LANES);
+            let rows = &mut self.pending[(batch * Self::SWEEP_ANGLES + k0) * stride..];
+            let r1 = partner.map(|_| &self.staged[s * n..(s + 1) * n]);
+            plan.filter.filter_pair_with(
+                &self.held[s * n..(s + 1) * n],
+                r1,
+                &mut self.cbuf,
+                |k, t, v| {
+                    rows[(k * (n + 1) + t) * SLICE_LANES + lane] = (v as f64 * plan.scale) as f32;
+                },
+            );
+        }
+        self.pending_angles.push(held);
+        self.pending_angles.extend(partner);
+    }
+
+    /// Backproject the pending angles, in arrival order, into every lane
+    /// batch of the running volume: row tile → angle → row, as
+    /// [`ReconPlan::backproject_rows`] walks a whole sinogram.
+    fn sweep(&mut self) {
+        let plan = &*self.plan;
+        let n = plan.geom.n_det;
+        let stride = (n + 1) * SLICE_LANES;
+        let batch_rows = Self::SWEEP_ANGLES * stride;
+        let (pending, angles) = (&self.pending, &self.pending_angles);
+        self.vol4
+            .par_chunks_mut(n * n * SLICE_LANES)
+            .enumerate()
+            .for_each(|(batch, img4)| {
+                let rows4 = &pending[batch * batch_rows..(batch + 1) * batch_rows];
+                for rows in row_tiles(n, SLICE_LANES) {
+                    let acc = &mut img4[rows.start * n * SLICE_LANES..rows.end * n * SLICE_LANES];
+                    for (&a, rowf) in angles.iter().zip(rows4.chunks_exact(stride)) {
+                        plan.backproject_angle_rows(
+                            SLICE_LANES,
+                            a,
+                            rowf,
+                            rows.clone(),
+                            acc,
+                            crate::simd::backproject_row_lanes,
+                        );
+                    }
+                }
+            });
+        self.pending_angles.clear();
+    }
+
+    /// Backproject what is still held or pending and hand the slices
+    /// out of their lanes, rescaled when the pushes were not exactly the
+    /// plan's angle count.
+    pub fn finish(mut self) -> Volume {
+        if self.held_angle.is_some() {
+            self.filter_held(None);
+        }
+        if !self.pending_angles.is_empty() {
+            self.sweep();
+        }
+        let n = self.plan.geom.n_det;
+        let ratio = match self.pushed {
+            0 => 1.0,
+            pushed => (self.plan.trig.len() as f64 / pushed as f64) as f32,
+        };
+        let vol4 = &self.vol4;
+        let mut vol = Volume::zeros(n, n, self.n_slices);
+        vol.data
+            .par_chunks_mut(SLICE_LANES * n * n)
+            .enumerate()
+            .for_each(|(batch, slices)| {
+                let img4 = &vol4[batch * n * n * SLICE_LANES..(batch + 1) * n * n * SLICE_LANES];
+                for (lane, slice) in slices.chunks_exact_mut(n * n).enumerate() {
+                    for (o, px) in slice.iter_mut().zip(img4.chunks_exact(SLICE_LANES)) {
+                        *o = px[lane] * ratio;
+                    }
+                }
+            });
+        vol
     }
 }
 

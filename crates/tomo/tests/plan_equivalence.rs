@@ -15,10 +15,11 @@ use als_tomo::gridrec::{gridrec_slice, GridrecConfig};
 use als_tomo::image::{Image, Sinogram};
 use als_tomo::radon::{forward_project, in_recon_disk};
 use als_tomo::{
-    fbp_slice, reference, FbpConfig, FilterKind, FilterPlan, Geometry, IterConfig, IterPlan,
-    PrepPlan, ReconPlan, SimdPath,
+    fbp_slice, reference, FbpAccumulator, FbpConfig, FilterKind, FilterPlan, Geometry, IterConfig,
+    IterPlan, PrepPlan, ReconPlan, SimdPath, Volume,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn rmse(a: &Image, b: &Image) -> f64 {
     assert_eq!(a.data.len(), b.data.len());
@@ -345,12 +346,16 @@ impl FbpOracle {
     }
 
     fn solve(&self, sino: &Sinogram) -> Vec<f32> {
+        self.solve_weighted(sino, std::f64::consts::PI / sino.n_angles as f64)
+    }
+
+    /// [`FbpOracle::solve`] with every angle weighted by `scale`.
+    fn solve_weighted(&self, sino: &Sinogram, scale: f64) -> Vec<f32> {
         let n = sino.n_det;
         let mut filtered = Sinogram::zeros(sino.n_angles, n);
         self.filter
             .filter_rows(sino, &mut self.filter.make_buf(), &mut filtered);
         let mut out = vec![0.0f32; n * n];
-        let scale = std::f64::consts::PI / sino.n_angles as f64;
         self.plan
             .backproject_acc(&filtered, scale, &mut self.plan.make_scratch(), &mut out);
         out
@@ -441,6 +446,128 @@ fn fbp_slice_bits_do_not_depend_on_lane_or_neighbours() {
                     bits(&alone),
                     "{path:?}: lane {lane}"
                 );
+            }
+        }
+    }
+}
+
+/// Push row `a` of every sinogram as plan angle `a`, for each `a` of
+/// `order`, the way detector frames deliver a scan.
+fn accumulate(plan: &Arc<ReconPlan>, sinos: &[Sinogram], order: &[usize]) -> Volume {
+    let n = plan.geometry().n_det;
+    let mut acc = FbpAccumulator::new(Arc::clone(plan), sinos.len());
+    for &a in order {
+        for (sino, dst) in sinos.iter().zip(acc.stage_mut().chunks_exact_mut(n)) {
+            dst.copy_from_slice(sino.row(a));
+        }
+        acc.push(a);
+    }
+    assert_eq!(acc.pushed(), order.len());
+    acc.finish()
+}
+
+#[test]
+fn fbp_accumulator_is_bit_identical_to_fbp_volume() {
+    // every angle count around the sweep size K (the lone last angle of
+    // an odd count, a finish with 0, 1 and K − 1 angles still pending,
+    // one and two whole sweeps)
+    let sweep = FbpAccumulator::SWEEP_ANGLES;
+    for n in [33usize, 64, 96] {
+        for n_angles in [sweep - 1, sweep, sweep + 1, 2 * sweep, 2 * sweep + 1] {
+            let (sinos, geom) = slice_stack(n, n_angles, 16);
+            let order: Vec<usize> = (0..n_angles).collect();
+            for path in [SimdPath::Scalar, SimdPath::Avx2] {
+                for mask_disk in [true, false] {
+                    let cfg = FbpConfig {
+                        mask_disk,
+                        ..Default::default()
+                    };
+                    let plan = Arc::new(ReconPlan::new(&geom, &cfg).unwrap().with_simd_path(path));
+                    // every batch shape at one sweep plus a lone angle,
+                    // a full batch and a one-lane tail everywhere else
+                    let row_counts: &[usize] = if n_angles == sweep + 1 {
+                        &[1, 3, 4, 5, 16]
+                    } else {
+                        &[5]
+                    };
+                    for &rows in row_counts {
+                        let want = plan.fbp_volume(&sinos[..rows]).unwrap();
+                        let got = accumulate(&plan, &sinos[..rows], &order);
+                        assert_eq!((got.nx, got.ny, got.nz), (n, n, rows));
+                        assert_eq!(
+                            bits(&got.data),
+                            bits(&want.data),
+                            "n {n}, {n_angles} angles, {rows} rows, {path:?}, mask {mask_disk}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    // an unfiltered plan takes the filter's pass-through branch
+    let (sinos, geom) = slice_stack(37, 9, 6);
+    let cfg = FbpConfig {
+        filter: FilterKind::None,
+        ..Default::default()
+    };
+    let plan = Arc::new(ReconPlan::new(&geom, &cfg).unwrap());
+    let got = accumulate(&plan, &sinos, &(0..9).collect::<Vec<_>>());
+    assert_eq!(
+        bits(&got.data),
+        bits(&plan.fbp_volume(&sinos).unwrap().data)
+    );
+}
+
+#[test]
+fn fbp_accumulator_rescales_scans_that_skip_or_repeat_angles() {
+    // truncated, gapped, over-length (repeated angles) and out-of-order
+    // arrivals: bit-identical to the from-scratch reconstruction on the
+    // arrival-order geometry that weights angles by the full plan's
+    // `π / n_angles` and rescales once at the end, and within f32
+    // round-off of the plain FBP of that geometry
+    let (n, n_angles, rows) = (48usize, 30usize, 6usize);
+    let (sinos, geom) = slice_stack(n, n_angles, rows);
+    let cfg = FbpConfig::default();
+    let orders: [Vec<usize>; 4] = [
+        (0..17).collect(),
+        (0..n_angles).filter(|a| a % 7 != 3).collect(),
+        (0..n_angles).chain([4, 4, 29]).collect(),
+        (0..n_angles).rev().step_by(2).collect(),
+    ];
+    for path in [SimdPath::Scalar, SimdPath::Avx2] {
+        let plan = Arc::new(ReconPlan::new(&geom, &cfg).unwrap().with_simd_path(path));
+        for order in &orders {
+            let got = accumulate(&plan, &sinos, order);
+            let arrived = Geometry {
+                angles: order.iter().map(|&a| geom.angles[a]).collect(),
+                ..geom.clone()
+            };
+            let arrived_sinos: Vec<Sinogram> = sinos
+                .iter()
+                .map(|s| {
+                    let mut t = Sinogram::zeros(order.len(), n);
+                    for (slot, &a) in order.iter().enumerate() {
+                        t.row_mut(slot).copy_from_slice(s.row(a));
+                    }
+                    t
+                })
+                .collect();
+            let oracle = FbpOracle::new(&arrived, &cfg, path);
+            let ratio = (n_angles as f64 / order.len() as f64) as f32;
+            let plain = oracle.plan.fbp_volume(&arrived_sinos).unwrap();
+            let peak = plain.data.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+            for (z, sino) in arrived_sinos.iter().enumerate() {
+                let mut want = oracle.solve_weighted(sino, std::f64::consts::PI / n_angles as f64);
+                want.iter_mut().for_each(|v| *v *= ratio);
+                let slice = &got.data[z * n * n..(z + 1) * n * n];
+                assert_eq!(bits(slice), bits(&want), "{path:?}, {} pushes", order.len());
+                for (g, p) in slice.iter().zip(&plain.data[z * n * n..(z + 1) * n * n]) {
+                    assert!(
+                        (g - p).abs() <= 1e-6 * peak,
+                        "{path:?}, {} pushes: {g} vs {p} (peak {peak})",
+                        order.len()
+                    );
+                }
             }
         }
     }

@@ -35,9 +35,10 @@ fn main() {
 
     // 2. the streaming branch's feedback (the <10 s path in production)
     println!("\n-- streaming branch --");
-    println!("frames cached in memory : {}", result.preview.cached_frames);
+    println!("frames reconstructed    : {}", result.preview.cached_frames);
     println!(
-        "reconstruction wall time: {:.2} s",
+        "reconstruction          : {:.4} s while the scan arrived + {:.4} s after it ended",
+        result.preview.ingest_busy.as_secs_f64(),
         result.preview.recon_wall.as_secs_f64()
     );
     println!(

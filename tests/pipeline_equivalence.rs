@@ -1,7 +1,8 @@
 //! Equivalence of the chunked scan-to-archive pipeline against the
-//! retained per-slice baselines, on a simulated Shepp-Logan scan — at
-//! one worker thread and at several, to catch ordering/racing bugs in
-//! the slab/parallel plumbing.
+//! retained per-slice baselines, and of the streaming service's
+//! reconstruct-on-arrival previews against a from-scratch oracle, on
+//! simulated Shepp-Logan scans — at one worker thread and at several,
+//! to catch ordering/racing bugs in the slab/parallel plumbing.
 
 use als_flows::realmode::{
     file_based_reconstruction_baseline, file_based_reconstruction_with, streaming_reconstruction,
@@ -10,10 +11,14 @@ use als_flows::realmode::{
 use als_phantom::{shepp_logan_volume, DetectorConfig, ScanSimulator};
 use als_scidata::ScanFile;
 use als_stream::slab::{FrameSlab, SlabFrame};
-use als_stream::streamer::{reconstruct_preview, IncrementalScan, PlanCache, StreamerConfig};
-use als_stream::{announce_for, ScanAnnounce};
-use als_tomo::{Geometry, Volume};
+use als_stream::streamer::{IncrementalScan, PlanCache, Preview};
+use als_stream::{
+    announce_for, PvaServer, ScanAnnounce, StreamMessage, StreamerConfig, StreamingReconService,
+};
+use als_tomo::filter::filter_sinogram;
+use als_tomo::{FbpConfig, Geometry, RawPrepPlan, ReconPlan, Sinogram, Volume};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn shepp_logan_scan(n: usize, nz: usize, n_angles: usize) -> (ScanFile, f64) {
     let vol = shepp_logan_volume(n, nz);
@@ -79,6 +84,10 @@ fn pipeline_matches_baseline_at_one_and_many_threads() {
             "streaming pipeline diverged at {threads} threads"
         );
         per_thread_file.push(file_pipeline);
+
+        // the streaming service reconstructs on arrival; its lane
+        // batches sweep on the same worker pool
+        service_preview_matches_oracle(threads);
     }
     rayon::set_num_threads(0);
 
@@ -89,83 +98,164 @@ fn pipeline_matches_baseline_at_one_and_many_threads() {
     );
 }
 
-/// The streaming service's incremental sinogram assembly (rows prepped as
-/// each frame arrives, slab released immediately) must produce previews
-/// **bit-identical** to the retained from-scratch path that gathers every
-/// row from a whole-scan frame cache at scan end: per-element the float
-/// operations are the same, only their interleaving differs.
-#[test]
-fn incremental_preview_is_bit_identical_to_from_scratch() {
-    let vol = shepp_logan_volume(48, 4);
-    let geom = Geometry::parallel_180(36, 48);
+/// A scan as the streaming consumers see it: the announcement and the
+/// frames, `rows` detector rows of `n` pixels at `n_angles` angles.
+fn streamed_scan(
+    n: usize,
+    rows: usize,
+    n_angles: usize,
+    seed: u64,
+) -> (ScanAnnounce, Vec<SlabFrame>) {
+    let vol = shepp_logan_volume(n, rows);
     let det = DetectorConfig::default();
-    let mut sim = ScanSimulator::new(&vol, geom.clone(), det, 97);
-    let announce: ScanAnnounce = announce_for(&sim, "equiv", det.mu_scale);
-    let frames: Vec<SlabFrame> = sim
+    let mut sim = ScanSimulator::new(&vol, Geometry::parallel_180(n_angles, n), det, seed);
+    let announce = announce_for(&sim, "equiv", det.mu_scale);
+    let frames = sim
         .all_frames()
         .into_iter()
         .map(|f| FrameSlab::detached(f.meta, f.data))
         .collect();
+    (announce, frames)
+}
 
-    let cfg = StreamerConfig::default();
-    let scratch = reconstruct_preview(&announce, &frames, &cfg, "equiv").expect("scratch preview");
+/// The from-scratch oracle's inputs: every sinogram row gathered and
+/// prepped from the whole frame list at scan end, and the geometry of
+/// the angles in arrival order.
+fn arrival_order_sinograms(
+    announce: &ScanAnnounce,
+    frames: &[SlabFrame],
+) -> (Vec<Sinogram>, Geometry) {
+    let cols = announce.cols;
+    let prep = RawPrepPlan::new(
+        &announce.dark,
+        &announce.flat,
+        announce.rows,
+        cols,
+        announce.mu_scale,
+        None,
+    );
+    let sinos = (0..announce.rows)
+        .map(|r| {
+            let mut sino = Sinogram::zeros(frames.len(), cols);
+            for (a, frame) in frames.iter().enumerate() {
+                prep.prep_angle_row(r, &frame.data()[r * cols..(r + 1) * cols], sino.row_mut(a));
+            }
+            sino
+        })
+        .collect();
+    let geom = Geometry {
+        angles: frames.iter().map(|f| f.meta.angle_rad).collect(),
+        n_det: cols,
+        center: (cols as f64 - 1.0) / 2.0,
+    };
+    (sinos, geom)
+}
 
-    let announce = Arc::new(announce);
-    let mut scan = IncrementalScan::new(Arc::clone(&announce));
-    for f in &frames {
-        assert!(scan.ingest(f));
-    }
-    let plans = PlanCache::new();
-    let incremental = scan
-        .finish(&plans, &cfg.fbp, "equiv")
-        .expect("incremental preview");
+/// The from-scratch oracle: a fresh plan on the arrival-order angles
+/// and one `fbp_volume` over the gathered sinograms.
+fn oracle_volume(announce: &ScanAnnounce, frames: &[SlabFrame], cfg: &FbpConfig) -> Volume {
+    let (sinos, geom) = arrival_order_sinograms(announce, frames);
+    ReconPlan::new(&geom, cfg)
+        .unwrap()
+        .fbp_volume(&sinos)
+        .unwrap()
+}
 
-    assert_eq!(incremental.cached_frames, scratch.cached_frames);
-    for (i, (a, b)) in incremental
-        .slices
-        .iter()
-        .zip(scratch.slices.iter())
-        .enumerate()
-    {
-        assert_eq!(a.data, b.data, "preview slice {i} diverged");
+fn assert_preview_is(preview: &Preview, vol: &Volume, what: &str) {
+    let want = [
+        vol.slice_xy(vol.nz / 2),
+        vol.slice_xz(vol.ny / 2),
+        vol.slice_yz(vol.nx / 2),
+    ];
+    for (i, (got, want)) in preview.slices.iter().zip(&want).enumerate() {
+        let bits = |img: &als_tomo::Image| img.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: preview slice {i} diverged");
     }
 }
 
-/// Same equivalence when the acquisition is truncated — frames lost
-/// upstream must shrink both paths' geometry identically. Three rows are
-/// one partial lane batch of the FBP engine, six a full batch plus a
-/// two-slice tail.
-#[test]
-fn incremental_preview_matches_from_scratch_on_partial_scans() {
-    for rows in [3usize, 6] {
-        let vol = shepp_logan_volume(32, rows);
-        let geom = Geometry::parallel_180(24, 32);
-        let det = DetectorConfig::default();
-        let mut sim = ScanSimulator::new(&vol, geom.clone(), det, 31);
-        let announce = announce_for(&sim, "partial", det.mu_scale);
-        // only 17 of the announced 24 frames arrive
-        let frames: Vec<SlabFrame> = sim
-            .all_frames()
-            .into_iter()
-            .take(17)
-            .map(|f| FrameSlab::detached(f.meta, f.data))
-            .collect();
-
+/// A complete scan through the running service — filtered and
+/// backprojected frame by frame as it arrives — must give previews
+/// **bit-identical** to the from-scratch oracle: per pixel the float
+/// operations and their order are the same, only when they run differs.
+/// Sixteen rows are four lane batches (a parallel sweep), five a full
+/// batch and a one-lane tail.
+fn service_preview_matches_oracle(threads: usize) {
+    for rows in [16usize, 5] {
+        let (announce, frames) = streamed_scan(48, rows, 37, 97);
         let cfg = StreamerConfig::default();
-        let scratch = reconstruct_preview(&announce, &frames, &cfg, "partial").unwrap();
-        let announce = Arc::new(announce);
-        let mut scan = IncrementalScan::new(Arc::clone(&announce));
-        for f in &frames {
-            scan.ingest(f);
-        }
-        let incremental = scan.finish(&PlanCache::new(), &cfg.fbp, "partial").unwrap();
+        let want = oracle_volume(&announce, &frames, &cfg.fbp);
 
-        assert_eq!(incremental.cached_frames, 17);
-        assert_eq!(incremental.dropped_frames, 7);
-        assert_eq!(scratch.dropped_frames, 7);
-        assert_eq!(incremental.slices[1].height, rows);
-        for (a, b) in incremental.slices.iter().zip(scratch.slices.iter()) {
-            assert_eq!(a.data, b.data, "{rows} rows");
+        let server = PvaServer::new();
+        let (svc, previews) = StreamingReconService::spawn(server.subscribe(4096), cfg);
+        server.publish(StreamMessage::ScanStart(Arc::new(announce)));
+        for f in &frames {
+            server.publish(StreamMessage::Frame(Arc::clone(f)));
+        }
+        server.publish(StreamMessage::ScanEnd {
+            scan_id: Arc::from("equiv"),
+        });
+        let preview = previews
+            .recv_timeout(Duration::from_secs(60))
+            .expect("service preview");
+        svc.stop();
+        assert_eq!((preview.cached_frames, preview.dropped_frames), (37, 0));
+        assert!(preview.ingest_busy > Duration::ZERO);
+        assert_preview_is(&preview, &want, &format!("{rows} rows, {threads} threads"));
+    }
+}
+
+/// Scans that lose frames upstream, and scans that deliver some twice:
+/// the service weights every angle by the announced count as it
+/// arrives and rescales once at the end. Bit-identical to the
+/// from-scratch reconstruction that does the same — the arrival-order
+/// geometry, `π / announced` per angle, one rescale by `announced /
+/// received` — and within f32 round-off of the plain FBP of what
+/// arrived. Three rows are one partial lane batch of the FBP engine, six
+/// a full batch plus a two-slice tail.
+#[test]
+fn truncated_and_over_length_previews_match_the_rescaling_oracle() {
+    for rows in [3usize, 6] {
+        let (announce, all) = streamed_scan(32, rows, 24, 31);
+        let announce = Arc::new(announce);
+        let lossy: Vec<SlabFrame> = all
+            .iter()
+            .filter(|f| f.meta.frame_id % 5 != 2)
+            .cloned()
+            .collect();
+        let repeats = [&all[..], &all[3..9], &all[23..]].concat();
+        for frames in [&all[..17], &lossy[..], &repeats[..]] {
+            let cfg = FbpConfig::default();
+            let mut scan =
+                IncrementalScan::open(Arc::clone(&announce), &PlanCache::new(), &cfg).unwrap();
+            for f in frames {
+                assert!(scan.ingest(f));
+            }
+            let preview = scan.finish("partial").unwrap();
+            assert_eq!(preview.cached_frames, frames.len());
+            assert_eq!(preview.dropped_frames, 24usize.saturating_sub(frames.len()));
+            assert_eq!(preview.slices[1].height, rows);
+
+            let what = format!("{rows} rows, {} of 24 frames", frames.len());
+            let (sinos, geom) = arrival_order_sinograms(&announce, frames);
+            let plan = ReconPlan::new(&geom, &cfg).unwrap();
+            let (n, ratio) = (32usize, (24.0 / frames.len() as f64) as f32);
+            let mut want = Volume::zeros(n, n, rows);
+            for (sino, out) in sinos.iter().zip(want.data.chunks_exact_mut(n * n)) {
+                let filtered = filter_sinogram(sino, cfg.filter);
+                let weight = std::f64::consts::PI / 24.0;
+                plan.backproject_acc(&filtered, weight, &mut plan.make_scratch(), out);
+                out.iter_mut().for_each(|v| *v *= ratio);
+            }
+            assert_preview_is(&preview, &want, &what);
+
+            let plain = plan.fbp_volume(&sinos).unwrap();
+            let peak = plain.data.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+            let e = want
+                .data
+                .iter()
+                .zip(&plain.data)
+                .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
+            assert!(e <= 1e-6 * peak, "{what}: {e} off plain FBP (peak {peak})");
         }
     }
 }
