@@ -3,12 +3,13 @@
 //! Users align samples in the control software (Figure 2A), but the
 //! rotation axis never lands exactly on the detector midline. Production
 //! TomoPy pipelines therefore run a center-of-rotation search before
-//! reconstructing; this module wires [`als_tomo::cor`] into the scan
-//! processing path and quantifies what the search buys.
+//! reconstructing; this module puts [`als_tomo::cor`] in front of FBP
+//! on one sinogram and quantifies what the search buys. The file-based
+//! branch (`realmode`, `als_tomo::pipeline`) does not call it: it
+//! reconstructs about the detector midline.
 
-use als_scidata::ScanFile;
 use als_tomo::cor::find_center;
-use als_tomo::{fbp_slice, FbpConfig, Geometry, Image, Sinogram};
+use als_tomo::{FbpConfig, Geometry, Image, ReconPlan, Sinogram};
 use serde::Serialize;
 
 /// Result of reconstructing one slice with and without COR correction.
@@ -50,8 +51,13 @@ pub fn reconstruct_with_cor(
         n_det,
         center: found_center,
     };
-    let naive = fbp_slice(sino, &naive_geom, &cfg).expect("fbp");
-    let corrected = fbp_slice(sino, &corrected_geom, &cfg).expect("fbp");
+    let fbp = |geom: &Geometry| {
+        let plan = ReconPlan::new(geom, &cfg).expect("fbp plan");
+        plan.fbp_slice_with(sino, &mut plan.make_scratch())
+            .expect("fbp")
+    };
+    let naive = fbp(&naive_geom);
+    let corrected = fbp(&corrected_geom);
     (
         naive,
         corrected,
@@ -61,16 +67,6 @@ pub fn reconstruct_with_cor(
             true_center,
         },
     )
-}
-
-/// Convenience: run the COR-corrected reconstruction on slice `row` of a
-/// written scan file.
-pub fn scan_slice_with_cor(scan: &ScanFile, row: usize, mu_scale: f64) -> (Image, CorComparison) {
-    let (n_angles, _rows, cols) = scan.shape();
-    let sino = crate::realmode::scan_slice_sinogram(scan, row, n_angles, cols, mu_scale);
-    let angles = scan.angles();
-    let (_naive, corrected, cmp) = reconstruct_with_cor(&sino, &angles, None);
-    (corrected, cmp)
 }
 
 #[cfg(test)]

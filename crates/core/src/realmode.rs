@@ -9,9 +9,9 @@
 //! Since PR 5 the file-based and streaming branches run through the
 //! chunked scan-to-archive pipeline (`als_tomo::pipeline`): slab
 //! transpose → fused prep → slice-parallel recon → archive sinks on a
-//! dedicated I/O thread. The old per-slice paths are retained as
-//! `*_baseline` functions — they are the equivalence reference and the
-//! "before" side of `BENCH_pipeline.json`.
+//! dedicated I/O thread. The old per-slice paths live on only as test
+//! oracles: `tests/pipeline_equivalence.rs` holds the per-slice file and
+//! streaming branches it gates the pipeline against.
 
 use crate::faults::{FaultKind, FaultPlan};
 use als_phantom::{DetectorConfig, FrameMeta, ScanSimulator};
@@ -22,9 +22,7 @@ use als_stream::{
     SlabPool, StreamMessage, StreamerConfig, StreamingReconService,
 };
 use als_tomo::pipeline::{self, PipelineConfig, PipelineReport, ReconKind, SliceSink, VolumeSink};
-use als_tomo::{
-    fbp_slice, sirt_slice_baseline, FbpConfig, Geometry, Image, IterConfig, Sinogram, Volume,
-};
+use als_tomo::{FbpConfig, Geometry, IterConfig, Volume};
 use std::path::Path;
 use std::time::Duration;
 
@@ -211,38 +209,6 @@ pub fn file_based_reconstruction_with(
     volume_from_sink(sink)
 }
 
-/// Retained pre-pipeline file-based branch: per-slice sinogram gather,
-/// unfused prep chain, per-call SIRT plan. This is the equivalence
-/// baseline and the serial "before" measurement in
-/// `BENCH_pipeline.json` — do not optimise it.
-pub fn file_based_reconstruction_baseline(
-    scan: &ScanFile,
-    mu_scale: f64,
-    cfg: &FileBranchConfig,
-) -> Volume {
-    let (n_angles, rows, cols) = scan.shape();
-    let geom = Geometry {
-        angles: scan.angles(),
-        n_det: cols,
-        center: (cols as f64 - 1.0) / 2.0,
-    };
-    let iter_cfg = cfg.iter_config();
-    let mut out = Volume::zeros(cols, cols, rows);
-    for r in 0..rows {
-        let sino = scan_slice_sinogram(scan, r, n_angles, cols, mu_scale);
-        // zinger removal only: dark/flat normalization (already applied in
-        // scan_slice_sinogram) removes the column-gain errors that stripe
-        // filtering targets, so running it here would only erode signal
-        let cleaned = match cfg.zinger_threshold {
-            Some(thr) => als_tomo::prep::remove_zingers(&sino, thr),
-            None => sino,
-        };
-        let img = sirt_slice_baseline(&cleaned, &geom, &iter_cfg).expect("sirt succeeds");
-        out.set_slice_xy(r, &img);
-    }
-    out
-}
-
 /// The streaming-quality branch: plain FBP through the pipeline, no
 /// zinger removal.
 pub fn streaming_reconstruction(scan: &ScanFile, mu_scale: f64) -> Volume {
@@ -258,25 +224,6 @@ pub fn streaming_reconstruction(scan: &ScanFile, mu_scale: f64) -> Volume {
         pipeline::run(scan, &mut sinks, &cfg).expect("streaming pipeline succeeds");
     }
     volume_from_sink(sink)
-}
-
-/// Retained pre-pipeline streaming branch (per-slice gather + FBP), the
-/// streaming equivalence baseline.
-pub fn streaming_reconstruction_baseline(scan: &ScanFile, mu_scale: f64) -> Volume {
-    let (n_angles, rows, cols) = scan.shape();
-    let geom = Geometry {
-        angles: scan.angles(),
-        n_det: cols,
-        center: (cols as f64 - 1.0) / 2.0,
-    };
-    let cfg = FbpConfig::default();
-    let mut out = Volume::zeros(cols, cols, rows);
-    for r in 0..rows {
-        let sino = scan_slice_sinogram(scan, r, n_angles, cols, mu_scale);
-        let img: Image = fbp_slice(&sino, &geom, &cfg).expect("fbp succeeds");
-        out.set_slice_xy(r, &img);
-    }
-    out
 }
 
 /// Archive products of one scan-to-archive run.
@@ -424,31 +371,6 @@ pub fn publish_scan_under_storm(
     stats
 }
 
-/// Extract the normalized sinogram of detector row `r` from a scan file.
-pub fn scan_slice_sinogram(
-    scan: &ScanFile,
-    r: usize,
-    n_angles: usize,
-    cols: usize,
-    mu_scale: f64,
-) -> Sinogram {
-    let dark = scan.dark();
-    let flat = scan.flat();
-    let mut sino = Sinogram::zeros(n_angles, cols);
-    for a in 0..n_angles {
-        let frame = scan.frame_data(a);
-        let base = r * cols;
-        for c in 0..cols {
-            let raw = frame[base + c] as f64;
-            let d = dark[base + c] as f64;
-            let f = flat[base + c] as f64;
-            let t = ((raw - d) / (f - d).max(1.0)).clamp(1e-6, 1.0);
-            sino.set(a, c, (-(t.ln()) / mu_scale) as f32);
-        }
-    }
-    sino
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,17 +433,6 @@ mod tests {
         )
         .unwrap();
         (scan, det.mu_scale)
-    }
-
-    #[test]
-    fn streaming_pipeline_is_bit_identical_to_baseline() {
-        // same prep math (fused, bit-for-bit) + the same shared FBP plan
-        // per slice: the pipeline must reproduce the per-slice path
-        // exactly, not just approximately
-        let (scan, mu) = small_scan(32, 5, 24);
-        let base = streaming_reconstruction_baseline(&scan, mu);
-        let fast = streaming_reconstruction(&scan, mu);
-        assert_eq!(base, fast);
     }
 
     #[test]

@@ -174,12 +174,12 @@ pub struct Dataset {
 impl Dataset {
     /// Build with shape validation.
     pub fn new(shape: Vec<usize>, data: DatasetData) -> Result<Dataset, SdfError> {
-        let expected: usize = shape.iter().product();
-        if expected != data.len() {
+        let expected = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        if expected != Some(data.len()) {
             return Err(SdfError::Corrupt(format!(
                 "shape {:?} implies {} elements, payload has {}",
                 shape,
-                expected,
+                expected.map_or("more than usize::MAX".into(), |n| n.to_string()),
                 data.len()
             )));
         }
@@ -368,7 +368,7 @@ impl SdfFile {
             return Err(SdfError::Corrupt("bad magic".into()));
         }
         let mut cursor = 4usize;
-        let root = decode_group(bytes, &mut cursor)?;
+        let root = decode_group(bytes, &mut cursor, 0)?;
         Ok(SdfFile { root })
     }
 
@@ -436,13 +436,39 @@ fn encode_group(g: &Group, out: &mut Vec<u8>) {
     }
 }
 
+/// Deepest group nesting the decoder follows. Real files are a few
+/// levels deep; the limit keeps a hostile file from recursing the
+/// decoder off the end of the thread's stack.
+const MAX_GROUP_DEPTH: usize = 64;
+
 fn take<'a>(bytes: &'a [u8], cursor: &mut usize, n: usize) -> Result<&'a [u8], SdfError> {
-    if *cursor + n > bytes.len() {
-        return Err(SdfError::Corrupt("unexpected end of data".into()));
-    }
-    let s = &bytes[*cursor..*cursor + n];
-    *cursor += n;
+    let end = cursor
+        .checked_add(n)
+        .filter(|&end| end <= bytes.len())
+        .ok_or_else(|| SdfError::Corrupt("unexpected end of data".into()))?;
+    let s = &bytes[*cursor..end];
+    *cursor = end;
     Ok(s)
+}
+
+/// Refuse a file-declared element count that the bytes left after
+/// `cursor` cannot hold at `min_bytes` per element, before anything is
+/// sized from it.
+fn declared_count(
+    bytes: &[u8],
+    cursor: usize,
+    count: u32,
+    min_bytes: usize,
+    what: &str,
+) -> Result<usize, SdfError> {
+    let count = count as usize;
+    let remaining = bytes.len().saturating_sub(cursor);
+    if count > remaining / min_bytes {
+        return Err(SdfError::Corrupt(format!(
+            "{what} count {count} exceeds the {remaining} bytes left"
+        )));
+    }
+    Ok(count)
 }
 
 fn get_u32(bytes: &[u8], cursor: &mut usize) -> Result<u32, SdfError> {
@@ -463,10 +489,16 @@ fn get_str(bytes: &[u8], cursor: &mut usize) -> Result<String, SdfError> {
     String::from_utf8(s.to_vec()).map_err(|_| SdfError::Corrupt("invalid utf-8".into()))
 }
 
-fn decode_group(bytes: &[u8], cursor: &mut usize) -> Result<Group, SdfError> {
+fn decode_group(bytes: &[u8], cursor: &mut usize, depth: usize) -> Result<Group, SdfError> {
+    if depth > MAX_GROUP_DEPTH {
+        return Err(SdfError::Corrupt(format!(
+            "groups nested deeper than {MAX_GROUP_DEPTH}"
+        )));
+    }
     let mut g = Group::default();
+    // an attribute is at least a name length and a tag
     let n_attrs = get_u32(bytes, cursor)?;
-    for _ in 0..n_attrs {
+    for _ in 0..declared_count(bytes, *cursor, n_attrs, 5, "attribute")? {
         let name = get_str(bytes, cursor)?;
         let tag = take(bytes, cursor, 1)?[0];
         let attr = match tag {
@@ -481,15 +513,17 @@ fn decode_group(bytes: &[u8], cursor: &mut usize) -> Result<Group, SdfError> {
         };
         g.attrs.insert(name, attr);
     }
+    // a child is at least a name length and a tag
     let n_children = get_u32(bytes, cursor)?;
-    for _ in 0..n_children {
+    for _ in 0..declared_count(bytes, *cursor, n_children, 5, "child")? {
         let name = get_str(bytes, cursor)?;
         let tag = take(bytes, cursor, 1)?[0];
         let node = match tag {
-            0 => Node::Group(decode_group(bytes, cursor)?),
+            0 => Node::Group(decode_group(bytes, cursor, depth + 1)?),
             1 => {
                 let type_tag = take(bytes, cursor, 1)?[0];
-                let ndim = get_u32(bytes, cursor)? as usize;
+                let ndim = get_u32(bytes, cursor)?;
+                let ndim = declared_count(bytes, *cursor, ndim, 8, "dimension")?;
                 let mut shape = Vec::with_capacity(ndim);
                 for _ in 0..ndim {
                     shape.push(get_u64(bytes, cursor)? as usize);
@@ -606,6 +640,85 @@ mod tests {
         ));
         assert!(matches!(
             SdfFile::from_bytes(b""),
+            Err(SdfError::Corrupt(_))
+        ));
+    }
+
+    /// `SDF1`, an attribute-free root holding one unnamed dataset whose
+    /// header is `ndim` followed by `rest`.
+    fn one_dataset(ndim: u32, rest: &[u8]) -> Vec<u8> {
+        let mut b = b"SDF1".to_vec();
+        b.extend_from_slice(&0u32.to_le_bytes()); // root attributes
+        b.extend_from_slice(&1u32.to_le_bytes()); // root children
+        b.extend_from_slice(&0u32.to_le_bytes()); // name ""
+        b.extend_from_slice(&[1, 0]); // dataset, u16
+        b.extend_from_slice(&ndim.to_le_bytes());
+        b.extend_from_slice(rest);
+        b
+    }
+
+    #[test]
+    fn huge_declared_ndim_is_refused_before_allocating() {
+        // 22 bytes asking for u32::MAX dimensions: 34 GB of shape vector
+        let bytes = one_dataset(u32::MAX, &[]);
+        assert_eq!(bytes.len(), 22);
+        assert!(matches!(
+            SdfFile::from_bytes(&bytes),
+            Err(SdfError::Corrupt(_))
+        ));
+        // the same for attribute and child counts
+        let mut counts = b"SDF1".to_vec();
+        counts.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(SdfFile::from_bytes(&counts).is_err());
+        let mut counts = b"SDF1".to_vec();
+        counts.extend_from_slice(&0u32.to_le_bytes());
+        counts.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(SdfFile::from_bytes(&counts).is_err());
+    }
+
+    #[test]
+    fn deeply_nested_groups_are_refused_not_recursed() {
+        // 20,000 nested empty groups, 260 KB
+        let depth = 20_000;
+        let mut bytes = b"SDF1".to_vec();
+        for _ in 0..depth {
+            bytes.extend_from_slice(&0u32.to_le_bytes()); // attributes
+            bytes.extend_from_slice(&1u32.to_le_bytes()); // children
+            bytes.extend_from_slice(&0u32.to_le_bytes()); // name ""
+            bytes.push(0); // group
+        }
+        bytes.extend_from_slice(&[0; 8]); // innermost: no attributes, no children
+        assert_eq!(bytes.len(), 260_012);
+        assert!(matches!(
+            SdfFile::from_bytes(&bytes),
+            Err(SdfError::Corrupt(_))
+        ));
+        // nesting up to the limit still decodes
+        let mut f = SdfFile::new();
+        let path: String = (0..MAX_GROUP_DEPTH).map(|i| format!("/g{i}")).collect();
+        f.create_group(&path).unwrap();
+        assert_eq!(SdfFile::from_bytes(&f.to_bytes()).unwrap(), f);
+    }
+
+    #[test]
+    fn overflowing_payload_length_is_an_error() {
+        let mut rest = Vec::new();
+        rest.extend_from_slice(&1u64.to_le_bytes()); // shape [1]
+        rest.extend_from_slice(&(u64::MAX - 2).to_le_bytes()); // payload_len
+        rest.extend_from_slice(&0u32.to_le_bytes()); // crc
+        rest.extend_from_slice(&[7, 0]);
+        assert!(matches!(
+            SdfFile::from_bytes(&one_dataset(1, &rest)),
+            Err(SdfError::Corrupt(_))
+        ));
+        // a shape whose element count overflows usize
+        let mut rest = Vec::new();
+        rest.extend_from_slice(&u64::MAX.to_le_bytes());
+        rest.extend_from_slice(&2u64.to_le_bytes());
+        rest.extend_from_slice(&0u64.to_le_bytes()); // empty payload
+        rest.extend_from_slice(&crc32(&[]).to_le_bytes());
+        assert!(matches!(
+            SdfFile::from_bytes(&one_dataset(2, &rest)),
             Err(SdfError::Corrupt(_))
         ));
     }

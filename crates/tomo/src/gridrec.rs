@@ -137,7 +137,10 @@ mod tests {
         let geom = Geometry::parallel_180(160, n);
         let sino = forward_project(&truth, &geom);
         let grid = gridrec_slice(&sino, &geom, &GridrecConfig::default()).unwrap();
-        let fbp = crate::fbp::fbp_slice(&sino, &geom, &crate::fbp::FbpConfig::default()).unwrap();
+        let plan = crate::ReconPlan::new(&geom, &crate::FbpConfig::default()).unwrap();
+        let fbp = plan
+            .fbp_slice_with(&sino, &mut plan.make_scratch())
+            .unwrap();
         let e_grid = rmse_in_disk(&grid, &truth);
         let e_fbp = rmse_in_disk(&fbp, &truth);
         // direct Fourier should be within 3x of FBP error on a smooth phantom

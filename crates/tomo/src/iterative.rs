@@ -27,15 +27,13 @@
 //! per-slice oracle with `assert_eq!`). One plan serves every worker
 //! thread; per-thread state lives in the scratch.
 //!
-//! The pre-plan per-slice path is retained verbatim as
-//! [`sirt_slice_baseline`] for equivalence tests and same-run
-//! benchmarking.
+//! The pre-plan per-slice SIRT survives only as a test oracle, beside
+//! the equivalence gates in `tests/`.
 
-use crate::fbp::FbpConfig;
 use crate::filter::FilterKind;
 use crate::geometry::Geometry;
 use crate::image::{Image, Sinogram};
-use crate::plan::ReconPlan;
+use crate::plan::{FbpConfig, ReconPlan};
 use crate::radon::{apply_disk_mask, in_recon_disk};
 use crate::simd::{SimdPath, SLICE_LANES as LANES};
 use crate::TomoError;
@@ -151,10 +149,15 @@ impl RayTable {
     }
 }
 
-/// Scan-level SIRT plan: the projector plan, the row/column sums of the
-/// system matrix, and the forward-projection sample table — everything
-/// that [`sirt_slice_baseline`] used to re-derive per slice (and, for
-/// the per-sample work, per iteration).
+/// Scan-level plan of the Simultaneous Iterative Reconstruction
+/// Technique. Update: `x ← x + λ · C · Aᵀ · R · (p − A x)` where `R` and
+/// `C` normalize by row and column sums of the system matrix
+/// (approximated with projections of a unit image).
+///
+/// The plan holds the projector plan, those row/column sums, and the
+/// forward-projection sample table — everything the pre-plan per-slice
+/// solver re-derived per slice (and, for the per-sample work, per
+/// iteration).
 #[derive(Debug, Clone)]
 pub struct IterPlan {
     cfg: IterConfig,
@@ -540,70 +543,6 @@ fn build_ray_table(geom: &Geometry, n: usize, disk_clip: bool) -> Result<RayTabl
     Ok(RayTable { samples, ranges })
 }
 
-/// Simultaneous Iterative Reconstruction Technique.
-///
-/// Update: `x ← x + λ · C · Aᵀ · R · (p − A x)` where `R` and `C` normalize
-/// by row and column sums of the system matrix (approximated with
-/// projections of a unit image).
-///
-/// Convenience wrapper that builds an [`IterPlan`] per call; anything
-/// reconstructing more than one slice of the same geometry should hold a
-/// plan and call [`IterPlan::sirt_slice_with`] to amortize the sample
-/// table and the row/column sums across slices.
-pub fn sirt_slice(sino: &Sinogram, geom: &Geometry, cfg: &IterConfig) -> Result<Image, TomoError> {
-    validate(sino, geom, cfg)?;
-    let plan = IterPlan::new(geom, cfg)?;
-    let mut scratch = plan.make_scratch();
-    plan.sirt_slice_with(sino, &mut scratch)
-}
-
-/// The retained pre-[`IterPlan`] SIRT path: per-call projector plan and
-/// row/column sums, reference forward projector inside the update loop.
-/// Kept as the equivalence baseline and for same-run benchmarking — do
-/// not optimise it.
-pub fn sirt_slice_baseline(
-    sino: &Sinogram,
-    geom: &Geometry,
-    cfg: &IterConfig,
-) -> Result<Image, TomoError> {
-    validate(sino, geom, cfg)?;
-    let n = geom.n_det;
-    let plan = projector_plan(geom, cfg)?;
-
-    // Row sums: projection of an all-ones image; column sums: back
-    // projection of an all-ones sinogram.
-    let mut ones_img = Image::square(n);
-    ones_img.data.iter_mut().for_each(|v| *v = 1.0);
-    let mut row_sums = Sinogram::zeros(sino.n_angles, sino.n_det);
-    plan.forward_into(&ones_img, &mut row_sums);
-    let mut ones_sino = Sinogram::zeros(sino.n_angles, sino.n_det);
-    ones_sino.data.iter_mut().for_each(|v| *v = 1.0);
-    let mut col_sums = Image::square(n);
-    let mut bp = plan.make_scratch();
-    plan.backproject_acc(&ones_sino, 1.0, &mut bp, &mut col_sums.data);
-
-    let mut x = Image::square(n);
-    let mut fwd = Sinogram::zeros(sino.n_angles, sino.n_det);
-    let mut resid = Sinogram::zeros(sino.n_angles, sino.n_det);
-    let mut update = Image::square(n);
-
-    for _ in 0..cfg.iterations {
-        plan.forward_into(&x, &mut fwd);
-        for i in 0..resid.data.len() {
-            let r = row_sums.data[i].max(1e-6);
-            resid.data[i] = (sino.data[i] - fwd.data[i]) / r;
-        }
-        update.data.iter_mut().for_each(|v| *v = 0.0);
-        plan.backproject_acc(&resid, 1.0, &mut bp, &mut update.data);
-        for i in 0..x.data.len() {
-            let c = col_sums.data[i].max(1e-6);
-            x.data[i] += cfg.relaxation as f32 * update.data[i] / c;
-        }
-        post_iterate(&mut x, cfg);
-    }
-    Ok(x)
-}
-
 /// Algebraic Reconstruction Technique (Kaczmarz row action, one sweep of
 /// all angles per iteration). Uses angle-blocks rather than single rays,
 /// which converges similarly and vectorizes better.
@@ -692,6 +631,11 @@ mod tests {
     use super::*;
     use crate::radon::forward_project;
 
+    fn sirt(sino: &Sinogram, geom: &Geometry, cfg: &IterConfig) -> Result<Image, TomoError> {
+        let plan = IterPlan::new(geom, cfg)?;
+        plan.sirt_slice_with(sino, &mut plan.make_scratch())
+    }
+
     fn two_disk_phantom(n: usize) -> Image {
         let mut img = Image::square(n);
         let c = (n as f64 - 1.0) / 2.0;
@@ -739,8 +683,8 @@ mod tests {
             iterations: 40,
             ..Default::default()
         };
-        let r5 = sirt_slice(&sino, &geom, &cfg5).unwrap();
-        let r40 = sirt_slice(&sino, &geom, &cfg40).unwrap();
+        let r5 = sirt(&sino, &geom, &cfg5).unwrap();
+        let r40 = sirt(&sino, &geom, &cfg40).unwrap();
         let e5 = rmse_in_disk(&r5, &truth);
         let e40 = rmse_in_disk(&r40, &truth);
         assert!(
@@ -757,7 +701,7 @@ mod tests {
         let truth = two_disk_phantom(n);
         let geom = Geometry::parallel_180(14, n);
         let sino = forward_project(&truth, &geom);
-        let sirt = sirt_slice(
+        let sirt = sirt(
             &sino,
             &geom,
             &IterConfig {
@@ -766,44 +710,16 @@ mod tests {
             },
         )
         .unwrap();
-        let fbp = crate::fbp::fbp_slice(&sino, &geom, &crate::fbp::FbpConfig::default()).unwrap();
+        let plan = ReconPlan::new(&geom, &FbpConfig::default()).unwrap();
+        let fbp = plan
+            .fbp_slice_with(&sino, &mut plan.make_scratch())
+            .unwrap();
         let e_sirt = rmse_in_disk(&sirt, &truth);
         let e_fbp = rmse_in_disk(&fbp, &truth);
         assert!(
             e_sirt < e_fbp,
             "SIRT ({e_sirt}) should beat FBP ({e_fbp}) at 14 angles"
         );
-    }
-
-    #[test]
-    fn plan_sirt_matches_baseline_sirt() {
-        // the table-driven forward inside IterPlan reassociates sums but
-        // walks the identical sample set: reconstructions must agree to
-        // well below the workspace's 1e-5 RMSE equivalence bar
-        let n = 48;
-        let truth = two_disk_phantom(n);
-        for &(n_angles, mask_disk) in &[(40usize, true), (17, false)] {
-            let geom = Geometry::parallel_180(n_angles, n);
-            let sino = forward_project(&truth, &geom);
-            let cfg = IterConfig {
-                iterations: 25,
-                mask_disk,
-                ..Default::default()
-            };
-            let base = sirt_slice_baseline(&sino, &geom, &cfg).unwrap();
-            let fast = sirt_slice(&sino, &geom, &cfg).unwrap();
-            let rmse = rmse_in_disk(&base, &fast);
-            let max = base
-                .data
-                .iter()
-                .zip(fast.data.iter())
-                .map(|(&a, &b)| (a - b).abs())
-                .fold(0.0f32, f32::max);
-            assert!(
-                rmse < 1e-5 && max < 1e-4,
-                "plan vs baseline SIRT diverged: rmse {rmse}, max {max} (mask_disk {mask_disk})"
-            );
-        }
     }
 
     #[test]
@@ -937,20 +853,20 @@ mod tests {
             iterations: 0,
             ..Default::default()
         };
-        assert!(sirt_slice(&sino, &geom, &zero_iter).is_err());
+        assert!(sirt(&sino, &geom, &zero_iter).is_err());
         assert!(IterPlan::new(&geom, &zero_iter).is_err());
         let bad_relax = IterConfig {
             relaxation: 3.0,
             ..Default::default()
         };
-        assert!(sirt_slice(&sino, &geom, &bad_relax).is_err());
+        assert!(sirt(&sino, &geom, &bad_relax).is_err());
     }
 
     #[test]
     fn zero_sinogram_reconstructs_to_zero() {
         let geom = Geometry::parallel_180(8, 16);
         let sino = Sinogram::zeros(8, 16);
-        let rec = sirt_slice(&sino, &geom, &IterConfig::default()).unwrap();
+        let rec = sirt(&sino, &geom, &IterConfig::default()).unwrap();
         assert!(rec.data.iter().all(|&v| v.abs() < 1e-6));
     }
 }

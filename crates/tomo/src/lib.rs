@@ -10,27 +10,26 @@
 //!   (outlier) removal, ring-artifact suppression, Paganin-style phase
 //!   filtering;
 //! * [`cor`] — center-of-rotation search;
-//! * [`fbp`] — filtered back projection with the classic window family
-//!   (ram-lak, Shepp-Logan, cosine, Hamming, Hann, Butterworth);
 //! * [`gridrec`] — Fourier-slice ("gridrec"-style) reconstruction, the fast
 //!   CPU algorithm TomoPy defaults to;
 //! * [`iterative`] — ART / SIRT / MLEM, the "higher quality owing to the
 //!   preprocessing and iterative algorithms" branch of the paper;
-//! * [`radon`] — forward/back projection operators shared by everything;
+//! * [`radon`] — the forward projector and reconstruction-disk mask
+//!   shared by everything;
 //! * [`fft`] — an in-house radix-2 FFT (no external FFT dependency), with
 //!   table-driven [`fft::FftPlan`]s for hot loops;
-//! * [`plan`] — the plan-and-scratch reconstruction engine: per-geometry
-//!   cached filter responses, FFT tables, trig tables, disk-mask extents,
-//!   and reusable per-thread scratch (the CPU analogue of
-//!   streamtomocupy's persistent GPU plans);
+//! * [`plan`] — the plan-and-scratch reconstruction engine and the one
+//!   filtered back projection path ([`ReconPlan`], with the classic
+//!   window family: ram-lak, Shepp-Logan, cosine, Hamming, Hann,
+//!   Butterworth): per-geometry cached filter responses, FFT tables,
+//!   trig tables, disk-mask extents, and reusable per-thread scratch
+//!   (the CPU analogue of streamtomocupy's persistent GPU plans);
 //! * [`pipeline`] — the chunked scan-to-archive engine: slab transpose,
 //!   fused prep, slice-parallel reconstruction, and archive sinks on a
 //!   dedicated I/O thread, connected by bounded channels so the stages
 //!   overlap;
 //! * [`simd`] — runtime-dispatched wide kernels (AVX2/FMA with a scalar
 //!   fallback) shared by the plan engine, FFT stages, and filter multiply;
-//! * [`reference`] — retained pre-plan kernels, kept for equivalence
-//!   tests and same-run before/after benchmarking;
 //! * [`quality`] — MSE/PSNR/SSIM metrics used by the quality experiments;
 //! * [`throughput`] — calibrated cost models that let the discrete-event
 //!   simulation report paper-scale (2160×2560×1969) reconstruction times.
@@ -40,7 +39,6 @@
 //! sinograms across cores on the 128-core NERSC nodes.
 
 pub mod cor;
-pub mod fbp;
 pub mod fft;
 pub mod filter;
 pub mod geometry;
@@ -52,27 +50,23 @@ pub mod plan;
 pub mod prep;
 pub mod quality;
 pub mod radon;
-pub mod reference;
 pub mod simd;
 pub mod sino_ops;
 pub mod throughput;
 
-pub use fbp::{fbp_slice, fbp_volume, FbpConfig};
 pub use filter::{FilterKind, FilterPlan};
 pub use geometry::Geometry;
 pub use gridrec::{gridrec_slice, GridrecConfig};
 pub use image::{Image, Sinogram, Volume};
-pub use iterative::{
-    art_slice, mlem_slice, sirt_slice, sirt_slice_baseline, IterConfig, IterPlan, IterScratch,
-};
+pub use iterative::{art_slice, mlem_slice, IterConfig, IterPlan, IterScratch};
 pub use pipeline::{
     PipelineConfig, PipelineError, PipelineReport, ProjectionSource, ReconKind, SliceSink,
     VolumeSink,
 };
-pub use plan::{FbpAccumulator, GridrecPlan, GridrecScratch, ReconPlan, ReconScratch};
+pub use plan::{FbpAccumulator, FbpConfig, GridrecPlan, GridrecScratch, ReconPlan, ReconScratch};
 pub use prep::{PaganinPlan, PrepPlan, RawPrepPlan, SinoPostPlan, SinoPostScratch};
 pub use quality::{mse, psnr, ssim};
-pub use radon::{backproject, forward_project};
+pub use radon::forward_project;
 pub use simd::SimdPath;
 pub use sino_ops::{bin_detector, crop_roi, fold_360_to_180, pad_edges};
 

@@ -35,11 +35,10 @@
 //! a slow stage back-pressures the ones before it. The per-stage busy
 //! times in the returned [`PipelineReport`] quantify the overlap.
 
-use crate::fbp::FbpConfig;
 use crate::geometry::Geometry;
 use crate::image::Sinogram;
 use crate::iterative::{IterConfig, IterPlan, IterScratch};
-use crate::plan::{ReconPlan, ReconScratch};
+use crate::plan::{FbpConfig, ReconPlan, ReconScratch};
 use crate::prep::RawPrepPlan;
 use crate::simd::SLICE_LANES;
 use crate::TomoError;

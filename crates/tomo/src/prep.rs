@@ -7,8 +7,9 @@
 //! phase filter.
 //!
 //! Two layers exist for every step: standalone functions (the unfused
-//! originals, kept as the equivalence baseline — see also
-//! [`crate::reference::prep_chain`]) and the fused plans. [`PrepPlan`] /
+//! originals, kept as the equivalence baseline — the unfused chain
+//! itself is the `prep_chain` test oracle in `tests/reference/`) and the
+//! fused plans. [`PrepPlan`] /
 //! [`RawPrepPlan`] collapse normalization, zinger removal, and −log into
 //! one in-place pass per row; an optional [`SinoPostPlan`] rides behind
 //! them folding ring suppression (bit-for-bit equal to

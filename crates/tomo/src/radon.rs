@@ -1,10 +1,12 @@
-//! Forward and back projection operators for parallel-beam geometry.
+//! Forward projection and the reconstruction disk for parallel-beam
+//! geometry.
 //!
 //! Conventions: for a projection at angle `θ`, a pixel at image coordinates
 //! `(x, y)` (origin at the image center) maps to detector coordinate
 //! `s = x·cosθ + y·sinθ` relative to the rotation center. The forward
 //! projector integrates along the ray direction `(-sinθ, cosθ)` with unit
-//! step and bilinear sampling; the back projector gathers with linear
+//! step and bilinear sampling; the back projector
+//! ([`crate::ReconPlan::backproject_acc`]) gathers with linear
 //! interpolation along the detector. The pair is approximately adjoint,
 //! which is what the iterative solvers in [`crate::iterative`] rely on.
 
@@ -92,38 +94,6 @@ pub(crate) fn project_angle_into(
     }
 }
 
-/// Unfiltered back projection: smear every sinogram row back across the
-/// image. `scale` is applied per angle (FBP passes `π / n_angles`).
-pub fn backproject(sino: &Sinogram, geom: &Geometry, n: usize, scale: f64) -> Image {
-    let mut img = Image::square(n);
-    backproject_into(sino, geom, &mut img, scale);
-    img
-}
-
-/// Back-project into an existing image buffer, accumulating.
-pub fn backproject_into(sino: &Sinogram, geom: &Geometry, img: &mut Image, scale: f64) {
-    assert_eq!(sino.n_angles, geom.n_angles());
-    assert_eq!(sino.n_det, geom.n_det);
-    let cx = (img.width as f64 - 1.0) / 2.0;
-    let cy = (img.height as f64 - 1.0) / 2.0;
-    let width = img.width;
-    for (a, &theta) in geom.angles.iter().enumerate() {
-        let (sin_t, cos_t) = theta.sin_cos();
-        for y in 0..img.height {
-            let yr = y as f64 - cy;
-            let row_base = y * width;
-            for x in 0..width {
-                let xr = x as f64 - cx;
-                let t = xr * cos_t + yr * sin_t + geom.center;
-                if t >= 0.0 && t <= (geom.n_det - 1) as f64 {
-                    let v = sino.sample_row(a, t);
-                    img.data[row_base + x] += (v * scale) as f32;
-                }
-            }
-        }
-    }
-}
-
 /// The reconstruction disk: pixels outside the inscribed circle are not
 /// covered by every projection, so reconstructions are usually masked to
 /// this region. Returns `true` when `(x, y)` is inside.
@@ -150,6 +120,20 @@ pub fn apply_disk_mask(img: &mut Image) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::FilterKind;
+    use crate::plan::{FbpConfig, ReconPlan};
+
+    /// Unfiltered, unmasked back projection through the plan engine.
+    fn backproject(sino: &Sinogram, geom: &Geometry, scale: f64) -> Vec<f32> {
+        let cfg = FbpConfig {
+            filter: FilterKind::None,
+            mask_disk: false,
+        };
+        let plan = ReconPlan::new(geom, &cfg).unwrap();
+        let mut out = vec![0.0f32; geom.n_det * geom.n_det];
+        plan.backproject_acc(sino, scale, &mut plan.make_scratch(), &mut out);
+        out
+    }
 
     /// Centered disk of radius r and value v.
     fn disk_image(n: usize, r: f64, v: f32) -> Image {
@@ -239,7 +223,7 @@ mod tests {
             *v = ((i * 40503) % 89) as f32 / 89.0;
         }
         let ax = forward_project(&x, &geom);
-        let aty = backproject(&y, &geom, n, 1.0);
+        let aty = backproject(&y, &geom, 1.0);
         let lhs: f64 = ax
             .data
             .iter()
@@ -249,7 +233,7 @@ mod tests {
         let rhs: f64 = x
             .data
             .iter()
-            .zip(aty.data.iter())
+            .zip(aty.iter())
             .map(|(&a, &b)| a as f64 * b as f64)
             .sum();
         let rel = (lhs - rhs).abs() / lhs.abs().max(1e-9);
@@ -268,9 +252,10 @@ mod tests {
         let geom = Geometry::parallel_180(6, 16);
         let mut sino = Sinogram::zeros(6, 16);
         sino.data.iter_mut().for_each(|v| *v = 1.0);
-        let b1 = backproject(&sino, &geom, 16, 1.0);
-        let b2 = backproject(&sino, &geom, 16, 2.0);
-        for (a, b) in b1.data.iter().zip(b2.data.iter()) {
+        let b1 = backproject(&sino, &geom, 1.0);
+        let b2 = backproject(&sino, &geom, 2.0);
+        assert!(b1.iter().any(|&v| v > 0.0));
+        for (a, b) in b1.iter().zip(b2.iter()) {
             assert!((b - 2.0 * a).abs() < 1e-5);
         }
     }

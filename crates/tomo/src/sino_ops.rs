@@ -134,9 +134,14 @@ pub fn pad_edges(sino: &Sinogram, geom: &Geometry, pad: usize) -> (Sinogram, Geo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fbp::{fbp_slice, FbpConfig};
     use crate::image::Image;
+    use crate::plan::{FbpConfig, ReconPlan};
     use crate::radon::{forward_project, in_recon_disk};
+
+    fn fbp_slice(sino: &Sinogram, geom: &Geometry, cfg: &FbpConfig) -> Result<Image, TomoError> {
+        let plan = ReconPlan::new(geom, cfg)?;
+        plan.fbp_slice_with(sino, &mut plan.make_scratch())
+    }
 
     fn disk_image(n: usize, r: f64) -> Image {
         let mut img = Image::square(n);
