@@ -161,24 +161,29 @@ fn batch_entry(n: usize, n_angles: usize, reps: usize) -> BatchResult {
     }
 }
 
-/// Fused prep chain: PrepPlan + ring + Paganin post-stage, one pass.
+/// Fused prep chain as the file and streaming branches run it: one
+/// `RawPrepPlan` row prep per angle (normalize + −log + zinger), then
+/// the `SinoPostPlan` ring + Paganin post-stage over the sinogram.
 fn prep_chain_entry(n: usize, n_angles: usize, reps: usize) -> String {
     let (sino, _) = shepp_sino(n, n_angles);
-    // treat the projections as raw-ish counts so normalize has work to do
-    let mut raw = sino.clone();
-    for v in raw.data.iter_mut() {
-        *v = 200.0 + v.abs() * 50.0;
-    }
-    let dark = vec![100.0f32; n];
-    let flat = vec![1000.0f32; n];
-    let plan = prep::PrepPlan::new(&dark, &flat, Some(0.5))
-        .with_ring(9)
-        .with_paganin(40.0);
+    // treat the projections as raw counts so normalize has work to do
+    let raw: Vec<u16> = sino
+        .data
+        .iter()
+        .map(|v| (200.0 + v.abs() * 50.0).min(u16::MAX as f32) as u16)
+        .collect();
+    let dark = vec![100u16; n];
+    let flat = vec![1000u16; n];
+    let plan = prep::RawPrepPlan::new(&dark, &flat, 1, n, 1.0, Some(0.5))
+        .with_post(prep::SinoPostPlan::new(n, Some(9), Some(40.0)));
     let mut scratch = plan.make_post_scratch();
+    let mut out = Sinogram::zeros(n_angles, n);
     let t_fused = time_best(reps, || {
-        let mut s = raw.clone();
-        plan.apply_with(&mut s, &mut scratch);
-        black_box(s);
+        for (a, raw_row) in raw.chunks_exact(n).enumerate() {
+            plan.prep_angle_row(0, raw_row, out.row_mut(a));
+        }
+        plan.finish_sinogram(&mut out, &mut scratch);
+        black_box(&out);
     });
     let ns_per_sample = t_fused * 1e9 / (n * n_angles) as f64;
     println!(

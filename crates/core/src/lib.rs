@@ -37,7 +37,6 @@
 //! * [`multibeamline`] — the §6 fleet-scaling / reserved-compute
 //!   experiment.
 
-pub mod alignment;
 pub mod archive;
 pub mod campaign;
 pub mod dynamic;

@@ -15,7 +15,7 @@ use crate::scan::ScanWorkload;
 use crate::sim::{FacilitySim, SimConfig, FLOW_ALCF, FLOW_NERSC};
 use als_facility::Facility;
 use als_orchestrator::engine::FlowState;
-use als_simcore::{SimDuration, SimInstant};
+use als_simcore::{SimDuration, SimInstant, Summary};
 use serde::Serialize;
 
 /// Aggregated results of one fault-injected campaign.
@@ -92,14 +92,6 @@ pub fn run_resilience_sim(
     sim
 }
 
-pub(crate) fn percentile(sorted: &[f64], p: f64) -> Option<f64> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    Some(sorted[idx.min(sorted.len() - 1)])
-}
-
 /// Aggregate a drained simulator into an outcome row.
 pub fn outcome_of(sim: &FacilitySim, scans: usize) -> ResilienceOutcome {
     let engine = sim.engine();
@@ -120,7 +112,6 @@ pub fn outcome_of(sim: &FacilitySim, scans: usize) -> ResilienceOutcome {
             }
         }
     }
-    durations.sort_by(f64::total_cmp);
     ResilienceOutcome {
         failover_enabled: sim.cfg.failover_enabled,
         scans,
@@ -135,8 +126,8 @@ pub fn outcome_of(sim: &FacilitySim, scans: usize) -> ResilienceOutcome {
         remote_cancels: sim.remote_cancel_count,
         nersc_breaker_trips: sim.breaker(Facility::Nersc).open_count(),
         alcf_breaker_trips: sim.breaker(Facility::Alcf).open_count(),
-        p50_flow_s: percentile(&durations, 50.0),
-        p99_flow_s: percentile(&durations, 99.0),
+        p50_flow_s: Summary::percentile(&durations, 50.0),
+        p99_flow_s: Summary::percentile(&durations, 99.0),
     }
 }
 
@@ -178,15 +169,6 @@ pub fn resilience_experiment(n_scans: usize, seed: u64) -> ResilienceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentile_bounds() {
-        assert_eq!(percentile(&[], 50.0), None);
-        let v = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&v, 0.0), Some(1.0));
-        assert_eq!(percentile(&v, 50.0), Some(3.0));
-        assert_eq!(percentile(&v, 100.0), Some(5.0));
-    }
 
     #[test]
     fn outage_plan_has_one_nersc_window() {

@@ -21,11 +21,11 @@
 //! facility-side mutation).
 
 use crate::faults::{FaultKind, FaultPlan, FaultWindow};
-use crate::resilience::percentile;
 use crate::scan::ScanWorkload;
 use crate::sim::{FacilitySim, SimConfig, FLOW_ALCF, FLOW_NERSC};
 use als_facility::RouterMode;
 use als_orchestrator::engine::FlowState;
+use als_simcore::Summary;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -138,7 +138,6 @@ pub fn routing_outcome_of(sim: &FacilitySim, scans: usize) -> RoutingOutcome {
             }
         }
     }
-    durations.sort_by(f64::total_cmp);
     RoutingOutcome {
         mode: match sim.cfg.router_mode {
             RouterMode::CostAware => "cost_aware",
@@ -157,8 +156,8 @@ pub fn routing_outcome_of(sim: &FacilitySim, scans: usize) -> RoutingOutcome {
         remote_cancels: sim.remote_cancel_count,
         max_route_hops: sim.max_route_hops(),
         duplicate_side_effects: sim.duplicate_side_effects,
-        p50_flow_s: percentile(&durations, 50.0),
-        p95_flow_s: percentile(&durations, 95.0),
+        p50_flow_s: Summary::percentile(&durations, 50.0),
+        p95_flow_s: Summary::percentile(&durations, 95.0),
         served_by,
     }
 }

@@ -2,8 +2,8 @@
 //! OLCF (batch Slurm with long queue holds), ALCF (Globus Compute).
 
 use crate::{
-    Facility, FacilityController, FacilityError, FacilityFault, FacilityStatus, FacilityTask,
-    OpEvent, Submission, SubmitSpec, RECON_PREFIX,
+    Facility, FacilityController, FacilityError, FacilityFault, FacilityStatus, OpEvent,
+    Submission, SubmitSpec, RECON_PREFIX,
 };
 use als_globus::compute::AcquisitionMode;
 use als_globus::{ComputeEndpoint, ComputeEvent, ComputeTaskId, ComputeTaskState};
@@ -374,10 +374,6 @@ impl AlcfController {
         &self.ep
     }
 
-    pub fn endpoint_mut(&mut self) -> &mut ComputeEndpoint {
-        &mut self.ep
-    }
-
     fn pending_count(&self) -> usize {
         self.ep
             .live_tasks()
@@ -523,15 +519,10 @@ impl FacilityController for AlcfController {
     }
 }
 
-/// Convenience: is this spec a probe? Probes never count as
-/// reconstruction work for adoption/orphan purposes.
-pub fn is_probe(spec: &SubmitSpec) -> bool {
-    spec.task == FacilityTask::Probe
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FacilityTask;
 
     fn spec(name: &str, secs: u64) -> SubmitSpec {
         SubmitSpec {

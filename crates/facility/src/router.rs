@@ -228,10 +228,6 @@ impl Router {
         &self.facs[&f].breaker
     }
 
-    pub fn breaker_mut(&mut self, f: Facility) -> &mut CircuitBreaker {
-        &mut self.facs.get_mut(&f).expect("facility not enabled").breaker
-    }
-
     /// How many times this facility's breaker has re-closed.
     pub fn recoveries(&self, f: Facility) -> u32 {
         self.facs[&f].recoveries

@@ -241,11 +241,6 @@ impl TransferService {
         }
     }
 
-    /// The site an endpoint is registered at.
-    pub fn endpoint_site(&self, ep: EndpointId) -> Option<SiteId> {
-        self.endpoints.get(&ep).map(|e| e.site)
-    }
-
     /// Estimated seconds to move `size` bytes from `src` to `dst` under
     /// the *current* link conditions: route latency + size over the
     /// bottleneck link's degraded capacity + the checksum read-back. The

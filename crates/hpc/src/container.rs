@@ -113,10 +113,6 @@ impl ContainerRegistry {
         self.frozen = false;
     }
 
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// Cold-start latency of a container on an HPC node (image pull +
     /// podman-hpc setup); warm starts are near-free thanks to the squashed
     /// image cache.

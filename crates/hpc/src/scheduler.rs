@@ -362,12 +362,6 @@ impl Scheduler {
             .collect()
     }
 
-    /// Wall-clock span a finished job occupied (start → finish).
-    pub fn run_span(&self, id: JobId) -> Option<SimDuration> {
-        let j = self.jobs.get(&id)?;
-        Some(j.finished?.duration_since(j.started?))
-    }
-
     /// Node utilization over `[0, now]`: busy node-seconds / capacity.
     pub fn utilization(&self, now: SimInstant) -> f64 {
         let span = now.as_secs_f64();

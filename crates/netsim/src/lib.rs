@@ -107,11 +107,6 @@ impl NetworkSim {
         self.factors[id.0]
     }
 
-    /// Number of registered links.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
     pub fn link(&self, id: LinkId) -> &Link {
         &self.links[id.0]
     }

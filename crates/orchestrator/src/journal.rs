@@ -241,6 +241,14 @@ struct JournalMetrics {
     flush_batch: Histogram,
 }
 
+/// A frame header field: hex digits only (at most 16), else a bad frame.
+fn hex_field(digits: &[u8]) -> Result<u64, TailDamage> {
+    digits.iter().try_fold(0u64, |acc, &b| {
+        let d = (b as char).to_digit(16).ok_or(TailDamage::BadFrame)?;
+        Ok(acc << 4 | d as u64)
+    })
+}
+
 fn frame_crc(seq: u64, payload: &str) -> u32 {
     let mut framed = format!("{seq:016x} ").into_bytes();
     framed.extend_from_slice(payload.as_bytes());
@@ -430,12 +438,14 @@ impl Journal {
 
     fn decode_line(line: &[u8], expected_seq: u64) -> Result<JournalRecord, TailDamage> {
         let text = std::str::from_utf8(line).map_err(|_| TailDamage::BadFrame)?;
-        // "<seq:16> <crc:8> <payload>"
-        if text.len() < 26 || text.as_bytes().get(16) != Some(&b' ') {
+        // "<seq:16> <crc:8> <payload>"; the header is read as bytes, so a
+        // multibyte character where a field should be is a bad frame,
+        // not a slice off a char boundary
+        if line.len() < 26 || line[16] != b' ' {
             return Err(TailDamage::BadFrame);
         }
-        let seq = u64::from_str_radix(&text[..16], 16).map_err(|_| TailDamage::BadFrame)?;
-        let crc = u32::from_str_radix(&text[17..25], 16).map_err(|_| TailDamage::BadFrame)?;
+        let seq = hex_field(&line[..16])?;
+        let crc = hex_field(&line[17..25])? as u32;
         let payload = text.get(26..).ok_or(TailDamage::BadFrame)?;
         if frame_crc(seq, payload) != crc {
             return Err(TailDamage::ChecksumMismatch);
@@ -562,6 +572,27 @@ mod tests {
             report.damage,
             Some(TailDamage::ChecksumMismatch | TailDamage::BadFrame)
         ));
+    }
+
+    #[test]
+    fn multibyte_character_in_the_header_is_a_bad_frame() {
+        let mut j = Journal::new();
+        let first = sample_records().remove(0);
+        j.append(&first);
+        // a 30-byte line whose two-byte 'é' straddles the end of the
+        // CRC field (bytes 24..26)
+        let line = "0000000000000001 0000000\u{e9}abc\n";
+        assert_eq!(line.len(), 30);
+        let mut bytes = j.bytes().to_vec();
+        bytes.extend_from_slice(line.as_bytes());
+        let (decoded, report) = Journal::replay_bytes(&bytes);
+        assert_eq!(decoded, vec![first]);
+        assert_eq!(report.damage, Some(TailDamage::BadFrame));
+        assert_eq!(report.dropped_bytes, 30);
+        // the same bytes through the recovery entry point
+        let (_, decoded, report) = Journal::from_bytes(&bytes);
+        assert_eq!(decoded.len(), 1);
+        assert_eq!(report.damage, Some(TailDamage::BadFrame));
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl ConcurrencyLimits {
         }
     }
 
-    /// Tags with a configured pool, in deterministic order.
-    pub fn pool_tags(&self) -> Vec<&str> {
-        self.pools.keys().map(String::as_str).collect()
-    }
-
     /// Release a previously acquired slot.
     pub fn release(&mut self, tag: &str) {
         if let Some(pool) = self.pools.get_mut(tag) {

@@ -291,30 +291,6 @@ impl ShardedOrchestrator {
         self.shards[s].release(key);
     }
 
-    // ----- concurrency limits ------------------------------------------
-
-    /// Acquire from the pool on the shard owning `key` (each shard
-    /// polices its slice of the fleet quota).
-    pub fn try_acquire_for(&mut self, key: &str, tag: &str) -> bool {
-        let s = self.shard_of(key);
-        self.shards[s].try_acquire(tag)
-    }
-
-    pub fn release_limit_for(&mut self, key: &str, tag: &str) {
-        let s = self.shard_of(key);
-        self.shards[s].release_limit(tag);
-    }
-
-    /// Fleet-wide in-use count for a pool tag.
-    pub fn limit_in_use(&self, tag: &str) -> usize {
-        self.shards.iter().map(|s| s.limits.in_use(tag)).sum()
-    }
-
-    /// Fleet-wide rejection tally for a pool tag.
-    pub fn limit_rejections(&self, tag: &str) -> u64 {
-        self.shards.iter().map(|s| s.limits.rejections(tag)).sum()
-    }
-
     // ----- flow runs ----------------------------------------------------
 
     /// Create a run on the shard owning `routing_key` (the scan name, so

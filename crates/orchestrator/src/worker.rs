@@ -83,10 +83,6 @@ impl WorkerPool {
         self.slots.values().filter(|s| s.is_some()).count()
     }
 
-    pub fn idle_count(&self) -> usize {
-        self.concurrency() - self.busy_count()
-    }
-
     pub fn completed_count(&self) -> u64 {
         self.completed
     }

@@ -211,13 +211,6 @@ pub struct Group {
     children: BTreeMap<String, Node>,
 }
 
-impl Group {
-    /// Names of child groups and datasets, sorted.
-    pub fn child_names(&self) -> Vec<&str> {
-        self.children.keys().map(|s| s.as_str()).collect()
-    }
-}
-
 /// An in-memory SDF container.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SdfFile {

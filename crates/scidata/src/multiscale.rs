@@ -117,6 +117,12 @@ impl MultiscaleStore {
                 meta.dtype
             )));
         }
+        if let Some(lm) = meta.levels.iter().find(|lm| lm.chunk.contains(&0)) {
+            return Err(StoreError::Meta(format!(
+                "zero chunk dimension {:?}",
+                lm.chunk
+            )));
+        }
         Ok(MultiscaleStore {
             root: root.to_path_buf(),
             meta,
@@ -402,6 +408,24 @@ mod tests {
             .filter_map(|e| e.ok())
             .map(|e| e.metadata().unwrap().len())
             .sum()
+    }
+
+    #[test]
+    fn zero_chunk_dimension_is_refused_at_open() {
+        let dir = tmpdir("zero_chunk");
+        let vol = test_volume();
+        let store = MultiscaleStore::create(&dir, "t", &vol, [4, 4, 4], 1).unwrap();
+        let mut meta = store.meta().clone();
+        meta.levels[0].chunk = [0, 4, 4];
+        let meta_json = serde_json::to_string_pretty(&meta).unwrap();
+        std::fs::write(dir.join(".mzarr.json"), meta_json).unwrap();
+        // a store that opened would divide by the zero reading the level
+        let read = MultiscaleStore::open(&dir).and_then(|s| s.read_level(0));
+        match read {
+            Err(StoreError::Meta(m)) => assert!(m.contains("zero chunk"), "{m}"),
+            other => panic!("expected a metadata error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -196,10 +196,6 @@ impl ScanFile {
         &self.inner
     }
 
-    pub fn into_container(self) -> SdfFile {
-        self.inner
-    }
-
     pub fn save(&self, path: &std::path::Path) -> Result<(), SdfError> {
         self.inner.save(path)
     }

@@ -195,15 +195,21 @@ pub fn decode_f32(bytes: &[u8]) -> Result<Image, TiffError> {
             "only 32-bit float supported (bits={bits}, fmt={fmt})"
         )));
     }
-    let expected = (width * height * 4) as usize;
+    // the dimensions come from the file: checked, so a 65536 × 65536
+    // header cannot wrap to a small (or zero) pixel count
+    let expected = (width as usize)
+        .checked_mul(height as usize)
+        .and_then(|px| px.checked_mul(4))
+        .ok_or_else(|| TiffError::Malformed("image size overflows".into()))?;
     if count as usize != expected {
         return Err(TiffError::Malformed("strip byte count mismatch".into()));
     }
     let start = offset as usize;
-    if start + expected > bytes.len() {
-        return Err(TiffError::Malformed("pixel data out of range".into()));
-    }
-    let data: Vec<f32> = bytes[start..start + expected]
+    let end = start
+        .checked_add(expected)
+        .filter(|&end| end <= bytes.len())
+        .ok_or_else(|| TiffError::Malformed("pixel data out of range".into()))?;
+    let data: Vec<f32> = bytes[start..end]
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
         .collect();
@@ -283,6 +289,32 @@ mod tests {
         assert!(decode_f32(b"").is_err());
         assert!(decode_f32(b"MM\x00\x2a").is_err());
         assert!(decode_f32(&[0u8; 64]).is_err());
+    }
+
+    #[test]
+    fn huge_declared_dimensions_are_an_error_not_a_panic() {
+        // 86 bytes: header + a six-entry IFD declaring 65536 × 65536 f32
+        // pixels in a strip of 0 bytes; 65536² · 4 wraps a u32 to 0
+        let mut bytes = b"II".to_vec();
+        bytes.extend_from_slice(&42u16.to_le_bytes());
+        bytes.extend_from_slice(&8u32.to_le_bytes());
+        bytes.extend_from_slice(&6u16.to_le_bytes());
+        for (tag, typ, value) in [
+            (TAG_WIDTH, TYPE_LONG, 65536u32),
+            (TAG_HEIGHT, TYPE_LONG, 65536),
+            (TAG_BITS_PER_SAMPLE, TYPE_SHORT, 32),
+            (TAG_STRIP_OFFSETS, TYPE_LONG, 8),
+            (TAG_STRIP_BYTE_COUNTS, TYPE_LONG, 0),
+            (TAG_SAMPLE_FORMAT, TYPE_SHORT, 3),
+        ] {
+            bytes.extend_from_slice(&tag.to_le_bytes());
+            bytes.extend_from_slice(&typ.to_le_bytes());
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+            bytes.extend_from_slice(&value.to_le_bytes());
+        }
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(bytes.len(), 86);
+        assert!(matches!(decode_f32(&bytes), Err(TiffError::Malformed(_))));
     }
 
     #[test]

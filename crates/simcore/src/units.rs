@@ -49,16 +49,8 @@ impl ByteSize {
         self.0
     }
 
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / (1u64 << 20) as f64
-    }
-
     pub fn as_gib_f64(self) -> f64 {
         self.0 as f64 / (1u64 << 30) as f64
-    }
-
-    pub fn as_tib_f64(self) -> f64 {
-        self.0 as f64 / (1u64 << 40) as f64
     }
 
     pub fn is_zero(self) -> bool {

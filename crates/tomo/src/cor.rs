@@ -87,6 +87,8 @@ mod tests {
     use super::*;
     use crate::geometry::Geometry;
     use crate::image::Image;
+    use crate::plan::{FbpConfig, ReconPlan};
+    use crate::quality::mse_in_disk;
     use crate::radon::forward_project;
 
     fn offset_blob(n: usize) -> Image {
@@ -141,6 +143,85 @@ mod tests {
     fn degenerate_input_returns_none() {
         assert!(find_center(&Sinogram::zeros(1, 64), 5.0, 0.5).is_none());
         assert!(find_center(&Sinogram::zeros(10, 2), 5.0, 0.5).is_none());
+    }
+
+    /// A mis-centered acquisition of a feather slice: the rotation axis
+    /// sits `offset` bins off the detector midline. Returns the
+    /// sinogram, its angles and the true slice.
+    fn miscentered_scan(n: usize, offset: f64) -> (Sinogram, Vec<f64>, Image) {
+        // `als_phantom` links its own copy of this crate, so the slice
+        // crosses over as raw pixels
+        let vol = als_phantom::feather_volume(als_phantom::FeatherSpecies::Chicken, n, 1, 5);
+        let truth = Image::from_vec(n, n, vol.slice_xy(0).data);
+        let mut geom = Geometry::parallel_180(96, n).with_center((n as f64 - 1.0) / 2.0 + offset);
+        // include the 180° endpoint so first/last rows are mirror pairs
+        geom.angles.push(std::f64::consts::PI);
+        let sino = forward_project(&truth, &geom);
+        (sino, geom.angles, truth)
+    }
+
+    /// FBP of `sino` about `center`, the way a pipeline that trusts
+    /// that center reconstructs it.
+    fn fbp_about(sino: &Sinogram, angles: &[f64], center: f64) -> Image {
+        let geom = Geometry {
+            angles: angles.to_vec(),
+            n_det: sino.n_det,
+            center,
+        };
+        let plan = ReconPlan::new(&geom, &FbpConfig::default()).unwrap();
+        plan.fbp_slice_with(sino, &mut plan.make_scratch()).unwrap()
+    }
+
+    /// The midline center and the one the search finds (±15 % of the
+    /// detector), with the FBP about each.
+    fn naive_and_corrected(sino: &Sinogram, angles: &[f64]) -> (f64, f64, Image, Image) {
+        let naive_center = (sino.n_det as f64 - 1.0) / 2.0;
+        let found_center =
+            find_center(sino, sino.n_det as f64 * 0.15, 0.25).unwrap_or(naive_center);
+        let naive = fbp_about(sino, angles, naive_center);
+        let corrected = fbp_about(sino, angles, found_center);
+        (naive_center, found_center, naive, corrected)
+    }
+
+    #[test]
+    fn search_recovers_the_offset() {
+        let n = 64;
+        let offset = 3.0;
+        let (sino, _angles, _truth) = miscentered_scan(n, offset);
+        let est = find_center(&sino, 8.0, 0.25).unwrap();
+        let expected = (n as f64 - 1.0) / 2.0 + offset;
+        assert!(
+            (est - expected).abs() < 0.75,
+            "estimated {est}, expected {expected}"
+        );
+    }
+
+    #[test]
+    fn correction_improves_reconstruction() {
+        let n = 64;
+        let (sino, angles, truth) = miscentered_scan(n, 3.0);
+        let (_, found_center, naive, corrected) = naive_and_corrected(&sino, &angles);
+        let e_naive = mse_in_disk(&truth, &naive);
+        let e_corrected = mse_in_disk(&truth, &corrected);
+        assert!(
+            e_corrected < e_naive * 0.8,
+            "COR should reduce error: {e_naive} -> {e_corrected} (found {found_center})"
+        );
+    }
+
+    #[test]
+    fn centered_scan_is_left_alone() {
+        let n = 64;
+        let (sino, angles, truth) = miscentered_scan(n, 0.0);
+        let (naive_center, found_center, naive, corrected) = naive_and_corrected(&sino, &angles);
+        assert!(
+            (found_center - naive_center).abs() < 0.75,
+            "found {found_center} vs naive {naive_center}"
+        );
+        // correction must not make a centered scan meaningfully worse
+        let e_naive = mse_in_disk(&truth, &naive);
+        let e_corrected = mse_in_disk(&truth, &corrected);
+        assert!(e_corrected < e_naive * 1.25 + 1e-6);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Iterative reconstruction: SIRT, ART, and MLEM.
+//! Iterative reconstruction: SIRT.
 //!
-//! These are the "longer-running ... iterative algorithms" behind the
-//! paper's high-quality file-based branch: slower than FBP/gridrec but
-//! markedly better on noisy or angle-starved data.
+//! SIRT stands in for the "longer-running ... iterative algorithms"
+//! behind the paper's high-quality file-based branch: slower than
+//! FBP/gridrec but markedly better on noisy or angle-starved data.
 //!
 //! SIRT — the solver the file-based branch runs for 100 iterations per
 //! slice — is the whole cost of that branch. [`IterPlan`] is the
@@ -34,17 +34,16 @@ use crate::filter::FilterKind;
 use crate::geometry::Geometry;
 use crate::image::{Image, Sinogram};
 use crate::plan::{FbpConfig, ReconPlan};
-use crate::radon::{apply_disk_mask, in_recon_disk};
 use crate::simd::{SimdPath, SLICE_LANES as LANES};
 use crate::TomoError;
 use serde::{Deserialize, Serialize};
 
-/// Shared configuration for the iterative solvers.
+/// Configuration of the SIRT solver.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct IterConfig {
     /// Number of outer iterations.
     pub iterations: usize,
-    /// Relaxation factor (SIRT/ART). 1.0 is the textbook value; smaller is
+    /// Relaxation factor. 1.0 is the textbook value; smaller is
     /// more stable on noisy data.
     pub relaxation: f64,
     /// Clamp negatives to zero after each iteration (attenuation is
@@ -65,11 +64,6 @@ impl Default for IterConfig {
     }
 }
 
-fn validate(sino: &Sinogram, geom: &Geometry, cfg: &IterConfig) -> Result<(), TomoError> {
-    geom.validate(sino.n_angles, sino.n_det)?;
-    validate_cfg(cfg)
-}
-
 fn validate_cfg(cfg: &IterConfig) -> Result<(), TomoError> {
     if cfg.iterations == 0 {
         return Err(TomoError::BadParameter("iterations must be > 0".into()));
@@ -83,9 +77,9 @@ fn validate_cfg(cfg: &IterConfig) -> Result<(), TomoError> {
     Ok(())
 }
 
-/// Build the projector plan the iterative solvers share: no filtering,
-/// backprojection extents matching the solver's disk mask. Amortizes the
-/// per-angle trig tables across all iterations × angles.
+/// Build SIRT's projector plan: no filtering, backprojection extents
+/// matching the solver's disk mask. Amortizes the per-angle trig tables
+/// across all iterations × angles.
 fn projector_plan(geom: &Geometry, cfg: &IterConfig) -> Result<ReconPlan, TomoError> {
     ReconPlan::new(
         geom,
@@ -94,19 +88,6 @@ fn projector_plan(geom: &Geometry, cfg: &IterConfig) -> Result<ReconPlan, TomoEr
             mask_disk: cfg.mask_disk,
         },
     )
-}
-
-fn post_iterate(img: &mut Image, cfg: &IterConfig) {
-    if cfg.nonneg {
-        for v in img.data.iter_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
-    }
-    if cfg.mask_disk {
-        apply_disk_mask(img);
-    }
 }
 
 /// One precomputed forward-projection sample: base pixel index plus the
@@ -241,13 +222,6 @@ impl IterPlan {
 
     pub fn config(&self) -> &IterConfig {
         &self.cfg
-    }
-
-    /// Approximate heap size of the sample table (the plan's dominant
-    /// memory cost; ~12 bytes per ray sample).
-    pub fn table_bytes(&self) -> usize {
-        self.table.samples.len() * std::mem::size_of::<RaySample>()
-            + self.table.ranges.len() * std::mem::size_of::<(u32, u32)>()
     }
 
     /// Allocate the mutable buffers one worker thread needs. Create one
@@ -543,93 +517,10 @@ fn build_ray_table(geom: &Geometry, n: usize, disk_clip: bool) -> Result<RayTabl
     Ok(RayTable { samples, ranges })
 }
 
-/// Algebraic Reconstruction Technique (Kaczmarz row action, one sweep of
-/// all angles per iteration). Uses angle-blocks rather than single rays,
-/// which converges similarly and vectorizes better.
-pub fn art_slice(sino: &Sinogram, geom: &Geometry, cfg: &IterConfig) -> Result<Image, TomoError> {
-    validate(sino, geom, cfg)?;
-    let n = geom.n_det;
-    let plan = projector_plan(geom, cfg)?;
-
-    let mut ones_img = Image::square(n);
-    ones_img.data.iter_mut().for_each(|v| *v = 1.0);
-    let mut row_sums = Sinogram::zeros(sino.n_angles, sino.n_det);
-    plan.forward_into(&ones_img, &mut row_sums);
-
-    let mut x = Image::square(n);
-    // per-angle scratch rows reused across the whole sweep
-    let mut fwd = vec![0.0f32; n];
-    let mut resid = vec![0.0f32; n];
-    let mut bp = plan.make_scratch();
-    for _ in 0..cfg.iterations {
-        for a in 0..geom.n_angles() {
-            plan.forward_angle_into(&x, a, &mut fwd);
-            for t in 0..n {
-                let norm = row_sums.get(a, t).max(1e-6);
-                resid[t] = cfg.relaxation as f32 * (sino.get(a, t) - fwd[t]) / norm;
-            }
-            plan.backproject_angle_acc(&resid, a, 1.0, &mut bp, &mut x.data);
-        }
-        post_iterate(&mut x, cfg);
-    }
-    Ok(x)
-}
-
-/// Maximum-Likelihood Expectation-Maximization for emission-style data.
-/// Multiplicative updates keep the image non-negative by construction.
-/// Requires a non-negative sinogram.
-pub fn mlem_slice(sino: &Sinogram, geom: &Geometry, cfg: &IterConfig) -> Result<Image, TomoError> {
-    validate(sino, geom, cfg)?;
-    if sino.data.iter().any(|&v| v < 0.0) {
-        return Err(TomoError::BadParameter(
-            "MLEM requires a non-negative sinogram".into(),
-        ));
-    }
-    let n = geom.n_det;
-    let plan = projector_plan(geom, cfg)?;
-
-    let mut ones_sino = Sinogram::zeros(sino.n_angles, sino.n_det);
-    ones_sino.data.iter_mut().for_each(|v| *v = 1.0);
-    let mut sens = Image::square(n);
-    let mut bp = plan.make_scratch();
-    plan.backproject_acc(&ones_sino, 1.0, &mut bp, &mut sens.data);
-
-    let mut x = Image::square(n);
-    // start from a uniform positive image inside the disk
-    for y in 0..n {
-        for x_i in 0..n {
-            if in_recon_disk(x_i, y, n) {
-                x.set(x_i, y, 1.0);
-            }
-        }
-    }
-
-    let mut fwd = Sinogram::zeros(sino.n_angles, sino.n_det);
-    let mut ratio = Sinogram::zeros(sino.n_angles, sino.n_det);
-    let mut corr = Image::square(n);
-
-    for _ in 0..cfg.iterations {
-        plan.forward_into(&x, &mut fwd);
-        for i in 0..ratio.data.len() {
-            ratio.data[i] = sino.data[i] / fwd.data[i].max(1e-6);
-        }
-        corr.data.iter_mut().for_each(|v| *v = 0.0);
-        plan.backproject_acc(&ratio, 1.0, &mut bp, &mut corr.data);
-        for i in 0..x.data.len() {
-            let s = sens.data[i].max(1e-6);
-            x.data[i] *= corr.data[i] / s;
-        }
-        if cfg.mask_disk {
-            apply_disk_mask(&mut x);
-        }
-    }
-    Ok(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::radon::forward_project;
+    use crate::radon::{apply_disk_mask, forward_project, in_recon_disk};
 
     fn sirt(sino: &Sinogram, geom: &Geometry, cfg: &IterConfig) -> Result<Image, TomoError> {
         let plan = IterPlan::new(geom, cfg)?;
@@ -795,54 +686,6 @@ mod tests {
             let alone = plan.sirt_slice_with(&sinos[z], &mut scratch).unwrap();
             assert_eq!(alone.data.as_slice(), got, "slice {z}");
         }
-    }
-
-    #[test]
-    fn art_reconstructs_reasonably() {
-        let n = 32;
-        let truth = two_disk_phantom(n);
-        let geom = Geometry::parallel_180(30, n);
-        let sino = forward_project(&truth, &geom);
-        let rec = art_slice(
-            &sino,
-            &geom,
-            &IterConfig {
-                iterations: 8,
-                relaxation: 0.5,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let e = rmse_in_disk(&rec, &truth);
-        assert!(e < 0.15, "ART rmse {e}");
-    }
-
-    #[test]
-    fn mlem_stays_nonnegative_and_converges() {
-        let n = 32;
-        let truth = two_disk_phantom(n);
-        let geom = Geometry::parallel_180(30, n);
-        let sino = forward_project(&truth, &geom);
-        let rec = mlem_slice(
-            &sino,
-            &geom,
-            &IterConfig {
-                iterations: 30,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(rec.data.iter().all(|&v| v >= 0.0));
-        let e = rmse_in_disk(&rec, &truth);
-        assert!(e < 0.15, "MLEM rmse {e}");
-    }
-
-    #[test]
-    fn mlem_rejects_negative_sinogram() {
-        let geom = Geometry::parallel_180(4, 8);
-        let mut sino = Sinogram::zeros(4, 8);
-        sino.data[3] = -1.0;
-        assert!(mlem_slice(&sino, &geom, &IterConfig::default()).is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`cor`] — center-of-rotation search;
 //! * [`gridrec`] — Fourier-slice ("gridrec"-style) reconstruction, the fast
 //!   CPU algorithm TomoPy defaults to;
-//! * [`iterative`] — ART / SIRT / MLEM, the "higher quality owing to the
+//! * [`iterative`] — SIRT, the "higher quality owing to the
 //!   preprocessing and iterative algorithms" branch of the paper;
 //! * [`radon`] — the forward projector and reconstruction-disk mask
 //!   shared by everything;
@@ -58,13 +58,13 @@ pub use filter::{FilterKind, FilterPlan};
 pub use geometry::Geometry;
 pub use gridrec::{gridrec_slice, GridrecConfig};
 pub use image::{Image, Sinogram, Volume};
-pub use iterative::{art_slice, mlem_slice, IterConfig, IterPlan, IterScratch};
+pub use iterative::{IterConfig, IterPlan, IterScratch};
 pub use pipeline::{
     PipelineConfig, PipelineError, PipelineReport, ProjectionSource, ReconKind, SliceSink,
     VolumeSink,
 };
 pub use plan::{FbpAccumulator, FbpConfig, GridrecPlan, GridrecScratch, ReconPlan, ReconScratch};
-pub use prep::{PaganinPlan, PrepPlan, RawPrepPlan, SinoPostPlan, SinoPostScratch};
+pub use prep::{PaganinPlan, RawPrepPlan, SinoPostPlan, SinoPostScratch};
 pub use quality::{mse, psnr, ssim};
 pub use radon::forward_project;
 pub use simd::SimdPath;

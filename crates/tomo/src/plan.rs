@@ -222,24 +222,6 @@ impl ReconPlan {
         self.backproject_tiled(1, rowsf, out, crate::simd::backproject_row);
     }
 
-    /// Accumulate the backprojection of a single projection row (angle
-    /// index `a` of the plan's geometry) into `out`, staging the
-    /// prescaled row in `scratch`.
-    pub fn backproject_angle_acc(
-        &self,
-        row: &[f32],
-        a: usize,
-        scale: f64,
-        scratch: &mut ReconScratch,
-        out: &mut [f32],
-    ) {
-        let n = self.geom.n_det;
-        assert_eq!(out.len(), n * n, "output buffer size mismatch");
-        let rowf = &mut scratch.rowsf[..n + 1];
-        prescale_row(row, scale, rowf);
-        self.backproject_angle_rows(1, a, rowf, 0..n, out, crate::simd::backproject_row);
-    }
-
     /// The backprojection of `SLICE_LANES` pixel-interleaved slices at
     /// once (`rows4[(a·(n_det+1) + t)·L + lane]`, sentinel column
     /// included), accumulated into `out4[pixel·L + lane]`: every
@@ -456,13 +438,6 @@ impl ReconPlan {
             let row = sino.row_mut(a);
             crate::radon::project_angle_into(img, &self.geom, sin_t, cos_t, row);
         }
-    }
-
-    /// Forward-project a single angle of the plan's geometry into a
-    /// detector row buffer.
-    pub fn forward_angle_into(&self, img: &Image, a: usize, out: &mut [f32]) {
-        let (sin_t, cos_t) = self.trig[a];
-        crate::radon::project_angle_into(img, &self.geom, sin_t, cos_t, out);
     }
 }
 
@@ -1117,10 +1092,9 @@ mod tests {
 
     #[test]
     fn accumulating_backprojectors_ignore_what_the_scratch_held() {
-        // ART calls `backproject_angle_acc` angles × iterations times
-        // and MLEM `backproject_acc` once per iteration through one
-        // scratch: a reused (dirty) staging buffer must give the bits
-        // a freshly allocated one does
+        // the per-slice SIRT oracle calls `backproject_acc` once per
+        // iteration through one scratch: a reused (dirty) staging
+        // buffer must give the bits a freshly allocated one does
         let n = 29;
         let geom = Geometry::parallel_180(11, n);
         let sino = forward_project(&disk_image(n, 9.0, 1.0), &geom);
@@ -1136,13 +1110,6 @@ mod tests {
             plan.backproject_acc(&sino, 0.7, &mut dirty, &mut a);
             plan.backproject_acc(&sino, 0.7, &mut plan.make_scratch(), &mut b);
             assert_eq!(a, b, "backproject_acc, mask_disk {mask_disk}");
-            for angle in 0..geom.n_angles() {
-                dirty.rowsf.fill(f32::NAN);
-                plan.backproject_angle_acc(sino.row(angle), angle, 1.3, &mut dirty, &mut a);
-                let mut fresh = plan.make_scratch();
-                plan.backproject_angle_acc(sino.row(angle), angle, 1.3, &mut fresh, &mut b);
-                assert_eq!(a, b, "backproject_angle_acc {angle}, mask_disk {mask_disk}");
-            }
             assert!(a.iter().all(|v| v.is_finite()));
         }
     }

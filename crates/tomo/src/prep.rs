@@ -9,10 +9,10 @@
 //! Two layers exist for every step: standalone functions (the unfused
 //! originals, kept as the equivalence baseline — the unfused chain
 //! itself is the `prep_chain` test oracle in `tests/reference/`) and the
-//! fused plans. [`PrepPlan`] /
-//! [`RawPrepPlan`] collapse normalization, zinger removal, and −log into
-//! one in-place pass per row; an optional [`SinoPostPlan`] rides behind
-//! them folding ring suppression (bit-for-bit equal to
+//! fused plans the file and streaming branches run. [`RawPrepPlan`]
+//! collapses normalization, −log, and zinger removal into one in-place
+//! pass per raw `u16` detector row; an optional [`SinoPostPlan`] rides
+//! behind it folding ring suppression (bit-for-bit equal to
 //! [`remove_stripes`]) and Paganin phase retrieval (precomputed filter
 //! response on a cached [`FftPlan`], two mirror-padded rows per complex
 //! FFT) into the same sweep over the sinogram.
@@ -251,8 +251,8 @@ impl PaganinPlan {
     }
 }
 
-/// Fused whole-sinogram post-stage riding behind the per-row prep
-/// plans: streaming column-mean ring detrend (bit-for-bit equal to
+/// Fused whole-sinogram post-stage riding behind the per-row
+/// [`RawPrepPlan`]: streaming column-mean ring detrend (bit-for-bit equal to
 /// [`remove_stripes`]) followed by the planned Paganin low-pass. Both
 /// steps are optional; with neither, [`SinoPostPlan::apply`] is a no-op.
 #[derive(Debug, Clone, Default)]
@@ -351,130 +351,6 @@ fn ring_detrend_inplace(
         for t in 0..n_det {
             row[t] -= (col_mean[t] - smooth[t]) as f32;
         }
-    }
-}
-
-/// In-place zinger-removal + −log over one row, bit-for-bit equal to
-/// `minus_log(&remove_zingers(...))` on that row. `row` holds the
-/// pre-log (normalized transmission) values on entry. The rolling
-/// `prev` variable preserves the pre-replacement neighbour values that
-/// `remove_zingers` reads from its immutable source row.
-fn zinger_log_row_inplace(row: &mut [f32], threshold: Option<f32>) {
-    let n = row.len();
-    if n == 0 {
-        return;
-    }
-    let log = |v: f32| -(v.max(1e-6).ln());
-    let Some(thr) = threshold else {
-        for v in row.iter_mut() {
-            *v = log(*v);
-        }
-        return;
-    };
-    let mut prev = row[0];
-    row[0] = log(prev);
-    for t in 1..n.saturating_sub(1) {
-        let cur = row[t];
-        let next = row[t + 1];
-        let v = if cur - prev > thr && cur - next > thr {
-            0.5 * (prev + next)
-        } else {
-            cur
-        };
-        row[t] = log(v);
-        prev = cur;
-    }
-    if n > 1 {
-        row[n - 1] = log(row[n - 1]);
-    }
-}
-
-/// Fused preprocessing plan for float-count sinograms: the
-/// `normalize` → `remove_zingers` → `minus_log` chain collapsed into a
-/// single in-place pass per row, with the per-bin dark levels and
-/// `(flat − dark)` denominators hoisted out of the per-sample loop.
-///
-/// The denominators are stored (not their reciprocals) and applied by
-/// division: hoisting the per-angle recomputation is where the time
-/// goes, and dividing keeps the output **bit-for-bit identical** to the
-/// unfused chain — the equivalence the pipeline tests assert.
-#[derive(Debug, Clone)]
-pub struct PrepPlan {
-    dark: Vec<f32>,
-    denom: Vec<f32>,
-    zinger_threshold: Option<f32>,
-    post: SinoPostPlan,
-}
-
-impl PrepPlan {
-    /// Precompute per-bin normalization terms from reference rows.
-    /// `zinger_threshold: None` skips zinger removal entirely.
-    pub fn new(dark: &[f32], flat: &[f32], zinger_threshold: Option<f32>) -> PrepPlan {
-        assert_eq!(dark.len(), flat.len(), "dark/flat width mismatch");
-        let denom = flat
-            .iter()
-            .zip(dark.iter())
-            .map(|(&f, &d)| (f - d).max(1e-6))
-            .collect();
-        PrepPlan {
-            dark: dark.to_vec(),
-            denom,
-            zinger_threshold,
-            post: SinoPostPlan::default(),
-        }
-    }
-
-    /// Fold ring-artifact suppression (window `window`, bit-for-bit
-    /// equal to [`remove_stripes`]) into [`PrepPlan::apply_with`].
-    pub fn with_ring(mut self, window: usize) -> PrepPlan {
-        self.post.ring_window = Some(window);
-        self
-    }
-
-    /// Fold the Paganin phase filter (strength `delta_beta`) into
-    /// [`PrepPlan::apply_with`]; values ≤ 0 disable it.
-    pub fn with_paganin(mut self, delta_beta: f64) -> PrepPlan {
-        self.post = SinoPostPlan {
-            ring_window: self.post.ring_window,
-            paganin: (delta_beta > 0.0).then(|| PaganinPlan::new(self.n_det(), delta_beta)),
-        };
-        self
-    }
-
-    /// Allocate the buffers [`PrepPlan::apply_with`] reuses across
-    /// sinograms.
-    pub fn make_post_scratch(&self) -> SinoPostScratch {
-        self.post.make_scratch()
-    }
-
-    pub fn n_det(&self) -> usize {
-        self.dark.len()
-    }
-
-    /// Convert one row of raw counts to line integrals, in place.
-    pub fn apply_row(&self, row: &mut [f32]) {
-        assert_eq!(row.len(), self.dark.len(), "row width mismatch");
-        for (t, r) in row.iter_mut().enumerate() {
-            let v = (*r - self.dark[t]) / self.denom[t];
-            *r = v.clamp(1e-6, f32::MAX);
-        }
-        zinger_log_row_inplace(row, self.zinger_threshold);
-    }
-
-    /// Convert a whole sinogram of raw counts to line integrals, in place.
-    pub fn apply(&self, sino: &mut Sinogram) {
-        assert_eq!(sino.n_det, self.dark.len(), "sinogram width mismatch");
-        for a in 0..sino.n_angles {
-            self.apply_row(sino.row_mut(a));
-        }
-    }
-
-    /// [`PrepPlan::apply`] plus the fused ring/Paganin post-stage
-    /// configured via [`PrepPlan::with_ring`] / [`PrepPlan::with_paganin`],
-    /// all in one pass over the sinogram with reusable scratch.
-    pub fn apply_with(&self, sino: &mut Sinogram, scratch: &mut SinoPostScratch) {
-        self.apply(sino);
-        self.post.apply(sino, scratch);
     }
 }
 
@@ -595,18 +471,6 @@ fn zinger_row_inplace(row: &mut [f32], threshold: Option<f32>) {
         }
         prev = cur;
     }
-}
-
-/// The full standard preprocessing chain used by the file-based pipeline.
-/// Normalization, zinger removal, −log, and ring suppression all run
-/// through the fused [`PrepPlan`] pass (bit-identical to the explicit
-/// `normalize → remove_zingers → minus_log → remove_stripes` chain).
-pub fn standard_chain(raw: &Sinogram, dark: &[f32], flat: &[f32]) -> Sinogram {
-    let mut fused = raw.clone();
-    let plan = PrepPlan::new(dark, flat, Some(0.5)).with_ring(9);
-    let mut scratch = plan.make_post_scratch();
-    plan.apply_with(&mut fused, &mut scratch);
-    fused
 }
 
 #[cfg(test)]
@@ -738,41 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn prep_plan_matches_unfused_chain_bit_for_bit() {
-        let n_angles = 23;
-        let n_det = 61;
-        let mut raw = Sinogram::zeros(n_angles, n_det);
-        raw.data
-            .copy_from_slice(&lcg_counts(7, n_angles * n_det, 80.0, 1100.0));
-        // sprinkle zingers and a few below-dark samples
-        for (i, v) in raw.data.iter_mut().enumerate() {
-            if i % 37 == 5 {
-                *v += 900.0;
-            }
-            if i % 53 == 11 {
-                *v = 10.0;
-            }
-        }
-        let dark = lcg_counts(11, n_det, 50.0, 120.0);
-        let mut flat = lcg_counts(13, n_det, 800.0, 1200.0);
-        flat[17] = dark[17]; // dead pixel: exercises the denominator floor
-        for &thr in &[0.5f32, 0.05] {
-            let expected = minus_log(&remove_zingers(&normalize(&raw, &dark, &flat), thr));
-            let mut fused = raw.clone();
-            PrepPlan::new(&dark, &flat, Some(thr)).apply(&mut fused);
-            assert_eq!(
-                expected.data, fused.data,
-                "fused PrepPlan must match normalize→zingers→log bit-for-bit (thr {thr})"
-            );
-        }
-        // no-zinger variant: normalize→log only
-        let expected = minus_log(&normalize(&raw, &dark, &flat));
-        let mut fused = raw.clone();
-        PrepPlan::new(&dark, &flat, None).apply(&mut fused);
-        assert_eq!(expected.data, fused.data);
-    }
-
-    #[test]
     fn raw_prep_plan_matches_per_element_gather_bit_for_bit() {
         // reference: the realmode per-element math + log-domain zingers
         let rows = 5;
@@ -819,15 +648,20 @@ mod tests {
 
     #[test]
     fn standard_chain_produces_finite_line_integrals() {
+        // the file branch's chain: raw-count prep with zingers at 0.5,
+        // then ring suppression over the assembled sinogram
         let n_angles = 10;
         let n_det = 32;
-        let mut raw = Sinogram::zeros(n_angles, n_det);
-        for (i, v) in raw.data.iter_mut().enumerate() {
-            *v = 500.0 + (i % 17) as f32 * 20.0;
+        let plan = RawPrepPlan::new(&[100; 32], &[900; 32], 1, n_det, 1.0, Some(0.5))
+            .with_post(SinoPostPlan::new(n_det, Some(9), None));
+        let mut out = Sinogram::zeros(n_angles, n_det);
+        for a in 0..n_angles {
+            let raw: Vec<u16> = (0..n_det)
+                .map(|t| 500 + ((a * n_det + t) % 17) as u16 * 20)
+                .collect();
+            plan.prep_angle_row(0, &raw, out.row_mut(a));
         }
-        let dark = vec![100.0; n_det];
-        let flat = vec![900.0; n_det];
-        let out = standard_chain(&raw, &dark, &flat);
+        plan.finish_sinogram(&mut out, &mut plan.make_post_scratch());
         assert!(out.data.iter().all(|v| v.is_finite()));
         // transmission < 1 everywhere => line integrals ≥ 0 (approximately)
         assert!(out.data.iter().all(|&v| v > -0.5));

@@ -100,17 +100,6 @@ impl DeviceModel {
         }
     }
 
-    /// An ALCF Polaris node (4 × A100-class accelerators) running the
-    /// file-based CPU code path via Globus Compute. The ALCF flow uses
-    /// fewer preprocessing passes, which is one reason Table 2 shows it
-    /// finishing faster than the NERSC file branch on average.
-    pub fn alcf_polaris_node() -> DeviceModel {
-        DeviceModel {
-            backproj_ops_per_sec: DeviceModel::nersc_gpu_node().backproj_ops_per_sec / 45.0,
-            devices: 64,
-        }
-    }
-
     /// Calibrate a model from a real measurement: `ops` inner-loop
     /// operations observed to take `wall` seconds.
     pub fn calibrated(ops: u64, wall: SimDuration) -> DeviceModel {

@@ -15,8 +15,8 @@ use als_tomo::gridrec::{gridrec_slice, GridrecConfig};
 use als_tomo::image::{Image, Sinogram};
 use als_tomo::radon::{forward_project, in_recon_disk};
 use als_tomo::{
-    FbpAccumulator, FbpConfig, FilterKind, FilterPlan, Geometry, IterConfig, IterPlan, PrepPlan,
-    ReconPlan, SimdPath, Volume,
+    FbpAccumulator, FbpConfig, FilterKind, FilterPlan, Geometry, IterConfig, IterPlan, ReconPlan,
+    SimdPath, SinoPostPlan, Volume,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -706,15 +706,10 @@ fn fused_ring_suppression_is_bit_identical_to_remove_stripes() {
     }
     let dark = vec![90.0f32; n_det];
     let flat = vec![1100.0f32; n_det];
-    let expected = {
-        let mut s = raw.clone();
-        PrepPlan::new(&dark, &flat, Some(0.5)).apply(&mut s);
-        als_tomo::prep::remove_stripes(&s, 7)
-    };
-    let plan = PrepPlan::new(&dark, &flat, Some(0.5)).with_ring(7);
-    let mut scratch = plan.make_post_scratch();
-    let mut fused = raw;
-    plan.apply_with(&mut fused, &mut scratch);
+    let mut fused = reference::prep_chain(&raw, &dark, &flat, Some(0.5), None, None);
+    let expected = als_tomo::prep::remove_stripes(&fused, 7);
+    let plan = SinoPostPlan::new(n_det, Some(7), None);
+    plan.apply(&mut fused, &mut plan.make_scratch());
     assert_eq!(
         expected.data, fused.data,
         "fused ring detrend must match remove_stripes bit-for-bit"
@@ -731,22 +726,16 @@ fn fused_ring_paganin_chain_matches_reference_prep_chain() {
     }
     let dark: Vec<f32> = (0..n_det).map(|t| 80.0 + (t % 7) as f32 * 4.0).collect();
     let flat: Vec<f32> = (0..n_det).map(|t| 1000.0 + (t % 11) as f32 * 9.0).collect();
+    let line_integrals = reference::prep_chain(&raw, &dark, &flat, Some(0.5), None, None);
     for &(ring, paganin) in &[
         (Some(9usize), Some(40.0f64)),
         (None, Some(25.0)),
         (Some(5), None),
     ] {
         let expected = reference::prep_chain(&raw, &dark, &flat, Some(0.5), ring, paganin);
-        let mut plan = PrepPlan::new(&dark, &flat, Some(0.5));
-        if let Some(w) = ring {
-            plan = plan.with_ring(w);
-        }
-        if let Some(db) = paganin {
-            plan = plan.with_paganin(db);
-        }
-        let mut scratch = plan.make_post_scratch();
-        let mut fused = raw.clone();
-        plan.apply_with(&mut fused, &mut scratch);
+        let plan = SinoPostPlan::new(n_det, ring, paganin);
+        let mut fused = line_integrals.clone();
+        plan.apply(&mut fused, &mut plan.make_scratch());
         let e: f64 = expected
             .data
             .iter()

@@ -57,7 +57,7 @@ pub fn filter_sinogram(sino: &Sinogram, kind: FilterKind) -> Sinogram {
 /// allocation) per step: `normalize → remove_zingers → minus_log →
 /// remove_stripes → paganin_filter`, each stage optional after the
 /// first. This is the equivalence baseline for the fused
-/// `PrepPlan` / `SinoPostPlan` pass.
+/// `SinoPostPlan` pass.
 pub fn prep_chain(
     raw: &Sinogram,
     dark: &[f32],

@@ -46,15 +46,6 @@ impl Window {
     pub fn apply(&self, v: f32) -> f32 {
         ((v - self.lo) / (self.hi - self.lo)).clamp(0.0, 1.0)
     }
-
-    /// Apply to a whole image.
-    pub fn apply_image(&self, img: &Image) -> Image {
-        let mut out = img.clone();
-        for v in out.data.iter_mut() {
-            *v = self.apply(*v);
-        }
-        out
-    }
 }
 
 /// Intensity histogram with `bins` equal-width bins over `[lo, hi]`.
