@@ -6,8 +6,8 @@
 //! reconstruction) back to raw data (the scan).
 //!
 //! §5.3 also flags the *absence of standardized sample metadata* as a
-//! limitation; [`SampleMetadata`] models the missing fields so downstream
-//! work (and the catalogue completeness report) can quantify the gap.
+//! limitation; [`SampleMetadata`] models the missing fields, and the JSON
+//! export carries them.
 
 use als_simcore::{ByteSize, SimInstant};
 use serde::{Deserialize, Serialize};
@@ -39,29 +39,13 @@ pub struct InstrumentMetadata {
 
 /// The sample metadata the paper says is *not* yet standardized:
 /// "provenance, preparation methods, in situ conditions, and material
-/// classifications". All optional, so completeness can be measured.
+/// classifications". All optional.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct SampleMetadata {
     pub description: Option<String>,
     pub preparation: Option<String>,
     pub in_situ_conditions: Option<String>,
     pub material_class: Option<String>,
-}
-
-impl SampleMetadata {
-    /// Fraction of the four standardized fields that are filled.
-    pub fn completeness(&self) -> f64 {
-        let filled = [
-            self.description.is_some(),
-            self.preparation.is_some(),
-            self.in_situ_conditions.is_some(),
-            self.material_class.is_some(),
-        ]
-        .iter()
-        .filter(|&&b| b)
-        .count();
-        filled as f64 / 4.0
-    }
 }
 
 /// A catalogued dataset.
@@ -173,54 +157,11 @@ impl Catalog {
         out
     }
 
-    /// Datasets created within a time window (beamtime review queries).
-    pub fn created_between(&self, from: SimInstant, to: SimInstant) -> Vec<&Dataset> {
-        self.datasets
-            .values()
-            .filter(|d| d.created >= from && d.created <= to)
-            .collect()
-    }
-
-    /// Datasets owned by a user (what a visiting user sees after leaving).
-    pub fn owned_by(&self, owner: &str) -> Vec<&Dataset> {
-        self.datasets
-            .values()
-            .filter(|d| d.owner == owner)
-            .collect()
-    }
-
-    /// Total catalogued bytes per dataset kind — the storage-review
-    /// dashboard's headline numbers.
-    pub fn bytes_by_kind(&self) -> (ByteSize, ByteSize) {
-        let mut raw = ByteSize::ZERO;
-        let mut derived = ByteSize::ZERO;
-        for d in self.datasets.values() {
-            match d.kind {
-                DatasetKind::Raw => raw += d.size,
-                DatasetKind::Derived => derived += d.size,
-            }
-        }
-        (raw, derived)
-    }
-
     /// Export the full catalogue as JSON — the FAIR "machine-readable
     /// metadata" requirement of the DOE Public Access Plan.
     pub fn export_json(&self) -> String {
         let all: Vec<&Dataset> = self.datasets.values().collect();
         serde_json::to_string_pretty(&all).expect("datasets serialize")
-    }
-
-    /// Mean sample-metadata completeness across all datasets — the
-    /// quantified version of the paper's §5.3 limitation.
-    pub fn sample_metadata_completeness(&self) -> f64 {
-        if self.datasets.is_empty() {
-            return 0.0;
-        }
-        self.datasets
-            .values()
-            .map(|d| d.sample.completeness())
-            .sum::<f64>()
-            / self.datasets.len() as f64
     }
 }
 
@@ -377,54 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn time_and_owner_queries() {
-        let mut cat = Catalog::new();
-        let t = |h: u64| SimInstant::ZERO + als_simcore::SimDuration::from_hours(h);
-        for (i, (owner, hour)) in [("alice", 1u64), ("bob", 5), ("alice", 10)]
-            .iter()
-            .enumerate()
-        {
-            let mut ds = raw_scan_dataset(
-                &format!("s{i}"),
-                owner,
-                t(*hour),
-                ByteSize::from_gib(20),
-                instrument(),
-            );
-            ds.pid = DatasetPid(format!("pid{i}"));
-            cat.ingest(ds).unwrap();
-        }
-        assert_eq!(cat.created_between(t(0), t(6)).len(), 2);
-        assert_eq!(cat.owned_by("alice").len(), 2);
-        assert_eq!(cat.owned_by("carol").len(), 0);
-    }
-
-    #[test]
-    fn bytes_by_kind_totals() {
-        let mut cat = Catalog::new();
-        let raw = raw_scan_dataset(
-            "s",
-            "o",
-            SimInstant::ZERO,
-            ByteSize::from_gib(20),
-            instrument(),
-        );
-        let raw_pid = raw.pid.clone();
-        cat.ingest(raw).unwrap();
-        cat.ingest(recon_dataset(
-            "s",
-            "nersc",
-            &raw_pid,
-            SimInstant::ZERO,
-            ByteSize::from_gib(52),
-        ))
-        .unwrap();
-        let (r, d) = cat.bytes_by_kind();
-        assert_eq!(r, ByteSize::from_gib(20));
-        assert_eq!(d, ByteSize::from_gib(52));
-    }
-
-    #[test]
     fn json_export_is_parseable_and_complete() {
         let mut cat = Catalog::new();
         cat.ingest(raw_scan_dataset(
@@ -439,22 +332,5 @@ mod tests {
         let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed.as_array().unwrap().len(), 1);
         assert!(json.contains("als/8.3.2/raw/s1"));
-    }
-
-    #[test]
-    fn sample_metadata_gap_is_measurable() {
-        let mut cat = Catalog::new();
-        let bare = raw_scan_dataset("s1", "o", SimInstant::ZERO, ByteSize::ZERO, instrument());
-        cat.ingest(bare).unwrap();
-        let mut rich = raw_scan_dataset("s2", "o", SimInstant::ZERO, ByteSize::ZERO, instrument());
-        rich.sample = SampleMetadata {
-            description: Some("sandgrouse feather".into()),
-            preparation: Some("air dried".into()),
-            in_situ_conditions: None,
-            material_class: Some("keratin".into()),
-        };
-        cat.ingest(rich).unwrap();
-        // (0 + 0.75) / 2
-        assert!((cat.sample_metadata_completeness() - 0.375).abs() < 1e-12);
     }
 }

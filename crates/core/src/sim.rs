@@ -72,8 +72,6 @@ pub struct SimConfig {
     pub alcf_max_nodes: usize,
     /// Whether the OLCF batch facility participates in the fleet.
     pub olcf_enabled: bool,
-    /// Nodes in the OLCF batch partition slice.
-    pub olcf_nodes: usize,
     /// Mean seconds between competing (non-ALS) NERSC job arrivals;
     /// `None` disables background load.
     pub background_mean_arrival_s: Option<f64>,
@@ -117,7 +115,6 @@ impl Default for SimConfig {
             nersc_nodes: 8,
             alcf_max_nodes: 4,
             olcf_enabled: true,
-            olcf_nodes: 16,
             background_mean_arrival_s: Some(360.0),
             pruning_enabled: true,
             beamline_count: 1,
@@ -221,6 +218,8 @@ pub mod calib {
     /// ALCF function: reconstruction seconds per raw GiB (GPU-assisted).
     pub const ALCF_RECON_S_PER_GIB: f64 = 13.0;
 
+    /// Nodes in the OLCF batch partition slice.
+    pub const OLCF_NODES: usize = 16;
     /// OLCF job: fixed startup on a Frontier batch node (s) — the
     /// 15-minute queue hold is separate, applied by the controller.
     pub const OLCF_JOB_FIXED_S: f64 = 420.0;
@@ -438,7 +437,7 @@ impl FacilitySim {
             Box::new(AlcfController::new(cfg.alcf_mode, cfg.alcf_max_nodes)),
         ];
         if cfg.olcf_enabled {
-            facs.push(Box::new(OlcfController::new(cfg.olcf_nodes)));
+            facs.push(Box::new(OlcfController::new(calib::OLCF_NODES)));
         }
         let mut health = HealthMonitor::new();
         for c in &facs {

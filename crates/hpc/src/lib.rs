@@ -11,20 +11,18 @@
 //! * [`storage`] — tiered storage (beamline spinning disk, pscratch, CFS,
 //!   Eagle, HPSS) with capacity accounting, per-tier retention, and the
 //!   age-based pruning the orchestration layer schedules;
-//! * [`container`] — podman-hpc-style image registry with version pinning
-//!   (the paper freezes container versions during beamtime);
+//! * [`health`] — the 12–24-hourly service health checks that catch a
+//!   silently dead service (§5.3 production lessons);
 //! * [`circuit`] — per-facility circuit breakers that gate where new work
 //!   is routed during an outage (§5.3 remediation).
 
 pub mod circuit;
-pub mod container;
 pub mod health;
 pub mod scheduler;
 pub mod sfapi;
 pub mod storage;
 
 pub use circuit::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use container::{ContainerRegistry, ImageRef};
 pub use health::{Environment, HealthCheck, HealthMonitor, HealthState};
 pub use scheduler::{JobEvent, JobId, JobRequest, JobState, Qos, Scheduler};
 pub use sfapi::{SfApiClient, SfApiError, SfApiServer};

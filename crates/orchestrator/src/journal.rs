@@ -441,7 +441,7 @@ impl Journal {
         // "<seq:16> <crc:8> <payload>"; the header is read as bytes, so a
         // multibyte character where a field should be is a bad frame,
         // not a slice off a char boundary
-        if line.len() < 26 || line[16] != b' ' {
+        if line.len() < 26 || line[16] != b' ' || line[25] != b' ' {
             return Err(TailDamage::BadFrame);
         }
         let seq = hex_field(&line[..16])?;
@@ -593,6 +593,21 @@ mod tests {
         let (_, decoded, report) = Journal::from_bytes(&bytes);
         assert_eq!(decoded.len(), 1);
         assert_eq!(report.damage, Some(TailDamage::BadFrame));
+    }
+
+    #[test]
+    fn damaged_payload_separator_is_a_bad_frame() {
+        let mut j = Journal::new();
+        for r in sample_records() {
+            j.append(&r);
+        }
+        // byte 25 of the first line separates the CRC field from the
+        // payload; the CRC does not cover it, so only framing can see it
+        j.corrupt_byte(25);
+        let (decoded, report) = Journal::replay_bytes(j.bytes());
+        assert!(decoded.is_empty());
+        assert_eq!(report.damage, Some(TailDamage::BadFrame));
+        assert_eq!(report.dropped_bytes, j.byte_len());
     }
 
     #[test]

@@ -25,21 +25,17 @@ pub mod engine;
 pub mod idempotency;
 pub mod journal;
 pub mod limits;
-pub mod logs;
 pub mod recovery;
 pub mod schedule;
 pub mod shard;
-pub mod worker;
 
 pub use engine::{FlowEngine, FlowRunId, FlowState, RetryPolicy, RunQuery, TaskState};
 pub use idempotency::{Claim, IdempotencyStore, Lease};
 pub use journal::{ExternalKind, Journal, JournalRecord, TailDamage, TailReport};
 pub use limits::ConcurrencyLimits;
-pub use logs::{LogLevel, LogRecord, LogStore};
 pub use recovery::{
     cancel_orphan_jobs, compute_fate, job_fate, transfer_fate, DurableOrchestrator, OpFate,
     PendingOp, PendingRetry, RecoveryInfo,
 };
 pub use schedule::Schedule;
 pub use shard::{shard_of_key, FleetRecoveryInfo, ShardPool, ShardedOrchestrator};
-pub use worker::{WorkerId, WorkerPool};

@@ -47,7 +47,7 @@ pub struct PendingRetry {
     pub delay: SimDuration,
 }
 
-/// What [`DurableOrchestrator::recover`] found.
+/// What [`DurableOrchestrator::recover_shard`] found.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryInfo {
     /// Journal-tail verdict (torn/corrupt bytes truncated).
@@ -103,19 +103,6 @@ struct OrchMetrics {
 }
 
 impl DurableOrchestrator {
-    /// A fresh incarnation with an empty journal.
-    pub fn new(holder: &str, now: SimInstant) -> Self {
-        let mut o = DurableOrchestrator {
-            holder: holder.to_string(),
-            ..Default::default()
-        };
-        o.record(JournalRecord::IncarnationStarted {
-            holder: holder.to_string(),
-            at: now,
-        });
-        o
-    }
-
     /// A fresh shard of an `n`-shard fleet: run ids strided so `id % total
     /// == index`, and the journal in group-commit mode (`batch <= 1` =
     /// immediate durability, the unsharded behaviour).
@@ -131,21 +118,6 @@ impl DurableOrchestrator {
             at: now,
         });
         o.journal.set_group_commit(batch);
-        o
-    }
-
-    /// A fresh incarnation with the §4.2.2 production concurrency pools
-    /// (journaled, so replay rebuilds them).
-    pub fn production(holder: &str, now: SimInstant) -> Self {
-        let mut o = Self::new(holder, now);
-        for (tag, limit) in [
-            ("scan-detect", 8),
-            ("hpc-submit", 2),
-            ("globus-transfer", 4),
-            ("prune", 1),
-        ] {
-            o.set_limit(tag, limit);
-        }
         o
     }
 
@@ -536,20 +508,16 @@ impl DurableOrchestrator {
 
     // ----- recovery ----------------------------------------------------
 
-    /// Rebuild an orchestrator from a crash-surviving journal image:
-    /// truncate any torn tail, replay the valid prefix through the same
-    /// apply path live operations use, force-expire leases held by dead
+    /// Rebuild shard `index` of an `n`-shard fleet (`(0, 1, 0)` for a
+    /// lone orchestrator) from a crash-surviving journal image: truncate
+    /// any torn tail, replay the valid prefix through the same apply path
+    /// live operations use, force-expire leases held by dead
     /// incarnations, and report what still needs reconciling against
-    /// live facility state.
-    pub fn recover(bytes: &[u8], holder: &str, now: SimInstant) -> (Self, RecoveryInfo) {
-        Self::recover_shard(bytes, holder, now, 0, 1, 0)
-    }
-
-    /// [`DurableOrchestrator::recover`] for one shard of an `n`-shard
-    /// fleet: the engine is pre-configured with the shard's id stride
-    /// *before* replay (so `FlowCreated` records land on the same ids
-    /// they were journaled with), and the journal re-enters group-commit
-    /// mode only after the recovery records themselves are durable.
+    /// live facility state. The engine is pre-configured with the shard's
+    /// id stride *before* replay (so `FlowCreated` records land on the
+    /// same ids they were journaled with), and the journal re-enters
+    /// group-commit mode only after the recovery records themselves are
+    /// durable.
     pub fn recover_shard(
         bytes: &[u8],
         holder: &str,
@@ -714,6 +682,7 @@ pub fn cancel_orphan_jobs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardedOrchestrator;
     use als_hpc::scheduler::{JobRequest, Qos};
 
     fn t(s: u64) -> SimInstant {
@@ -723,7 +692,7 @@ mod tests {
     const LEASE: SimDuration = SimDuration::from_secs(3600);
 
     fn scripted_orchestrator() -> DurableOrchestrator {
-        let mut o = DurableOrchestrator::production("orch-0", t(0));
+        let mut o = ShardedOrchestrator::production("orch-0", t(0), 1, 0).shards()[0].clone();
         let run = o.create_run("nersc_recon_flow", t(1));
         o.set_parameter(run, "scan", "scan_0001");
         o.start_run(run, t(1));
@@ -749,7 +718,8 @@ mod tests {
     #[test]
     fn recovery_reproduces_state_exactly() {
         let live = scripted_orchestrator();
-        let (rec, info) = DurableOrchestrator::recover(live.journal().bytes(), "orch-1", t(200));
+        let (rec, info) =
+            DurableOrchestrator::recover_shard(live.journal().bytes(), "orch-1", t(200), 0, 1, 0);
         assert!(info.tail.is_clean());
         assert_eq!(rec.engine, live.engine);
         assert_eq!(rec.limits, live.limits);
@@ -774,7 +744,8 @@ mod tests {
         let mut live = scripted_orchestrator();
         let clean_records = live.journal().record_count();
         live.journal_mut().tear_tail(7);
-        let (rec, info) = DurableOrchestrator::recover(live.journal().bytes(), "orch-1", t(200));
+        let (rec, info) =
+            DurableOrchestrator::recover_shard(live.journal().bytes(), "orch-1", t(200), 0, 1, 0);
         assert!(!info.tail.is_clean());
         assert!(info.tail.dropped_bytes > 0);
         assert!(info.replayed < clean_records, "the torn record is gone");
@@ -790,13 +761,15 @@ mod tests {
     #[test]
     fn recovered_journal_accepts_new_appends() {
         let live = scripted_orchestrator();
-        let (mut rec, _) = DurableOrchestrator::recover(live.journal().bytes(), "orch-1", t(200));
+        let (mut rec, _) =
+            DurableOrchestrator::recover_shard(live.journal().bytes(), "orch-1", t(200), 0, 1, 0);
         let run = rec.create_run("new_file_832", t(201));
         assert_eq!(
             run.0, 2,
             "run ids continue where the dead incarnation stopped"
         );
-        let (rec2, info2) = DurableOrchestrator::recover(rec.journal().bytes(), "orch-2", t(300));
+        let (rec2, info2) =
+            DurableOrchestrator::recover_shard(rec.journal().bytes(), "orch-2", t(300), 0, 1, 0);
         assert!(info2.tail.is_clean());
         assert_eq!(rec2.engine, rec.engine);
     }
@@ -805,7 +778,7 @@ mod tests {
     fn journaled_spans_replay_to_the_identical_report() {
         use als_telemetry::{SpanOutcome, Stage};
         let scan = "scan_0001";
-        let mut o = DurableOrchestrator::new("orch-0", t(0));
+        let mut o = DurableOrchestrator::shard("orch-0", t(0), 0, 1, 0);
         let start = |span, parent, stage, fac: &str, at| TraceEvent::Start {
             scan: scan.into(),
             span,
@@ -836,7 +809,8 @@ mod tests {
         o.record_span(end(2, t(150), SpanOutcome::Ok));
         let live_report = o.traces().report();
 
-        let (rec, info) = DurableOrchestrator::recover(o.journal().bytes(), "orch-1", t(500));
+        let (rec, info) =
+            DurableOrchestrator::recover_shard(o.journal().bytes(), "orch-1", t(500), 0, 1, 0);
         assert!(info.tail.is_clean());
         assert_eq!(rec.traces(), o.traces(), "replay rebuilds the trace store");
         assert_eq!(rec.traces().report(), live_report, "…and the report");

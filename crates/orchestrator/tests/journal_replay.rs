@@ -6,7 +6,7 @@
 
 use als_orchestrator::engine::{FlowState, TaskState};
 use als_orchestrator::idempotency::Claim;
-use als_orchestrator::{DurableOrchestrator, ExternalKind, Journal};
+use als_orchestrator::{DurableOrchestrator, ExternalKind, Journal, ShardedOrchestrator};
 use als_simcore::{SimDuration, SimInstant};
 use proptest::prelude::*;
 
@@ -19,7 +19,7 @@ const LEASE: SimDuration = SimDuration::from_secs(600);
 /// Returns the orchestrator and the sim-time reached.
 fn drive(ops: &[u8]) -> (DurableOrchestrator, SimInstant) {
     let mut now = SimInstant::ZERO;
-    let mut orch = DurableOrchestrator::production(HOLDER, now);
+    let mut orch = ShardedOrchestrator::production(HOLDER, now, 1, 0).shards()[0].clone();
     // shadow state so every call is legal (start_run asserts Scheduled &c.)
     let mut scheduled = Vec::new();
     let mut running: Vec<(als_orchestrator::engine::FlowRunId, usize)> = Vec::new();
@@ -109,7 +109,8 @@ proptest! {
     #[test]
     fn clean_replay_reproduces_state_exactly(ops in prop::collection::vec(any::<u8>(), 0..120)) {
         let (orch, now) = drive(&ops);
-        let (replayed, info) = DurableOrchestrator::recover(orch.journal().bytes(), HOLDER, now);
+        let (replayed, info) =
+            DurableOrchestrator::recover_shard(orch.journal().bytes(), HOLDER, now, 0, 1, 0);
         prop_assert!(info.tail.is_clean(), "clean journal reported damage: {:?}", info.tail);
         prop_assert_eq!(info.replayed, orch.journal().record_count());
         prop_assert_eq!(&replayed.engine, &orch.engine, "engines diverge after replay");
@@ -160,8 +161,10 @@ proptest! {
         for rec in &records {
             prefix.append(rec);
         }
-        let (from_damaged, info_d) = DurableOrchestrator::recover(&damaged, HOLDER, now);
-        let (from_prefix, info_p) = DurableOrchestrator::recover(prefix.bytes(), HOLDER, now);
+        let (from_damaged, info_d) =
+            DurableOrchestrator::recover_shard(&damaged, HOLDER, now, 0, 1, 0);
+        let (from_prefix, info_p) =
+            DurableOrchestrator::recover_shard(prefix.bytes(), HOLDER, now, 0, 1, 0);
         prop_assert_eq!(info_d.replayed, records.len() as u64);
         prop_assert_eq!(info_d.replayed, info_p.replayed);
         prop_assert_eq!(&from_damaged.engine, &from_prefix.engine);

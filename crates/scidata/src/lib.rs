@@ -22,7 +22,6 @@
 
 pub mod checksum;
 pub mod container;
-pub mod hyperslab;
 pub mod multiscale;
 pub mod scanfile;
 pub mod sink;
@@ -30,7 +29,6 @@ pub mod tiff;
 
 pub use checksum::{crc32, Crc32};
 pub use container::{Attribute, Dataset, DatasetData, Group, SdfError, SdfFile};
-pub use hyperslab::{read_f32 as read_hyperslab_f32, read_u16 as read_hyperslab_u16, Hyperslab};
 pub use multiscale::MultiscaleStore;
 pub use scanfile::ScanFile;
 pub use sink::{MultiscaleWriter, TiffStackSink};

@@ -146,30 +146,46 @@ impl MultiscaleStore {
             .get(level)
             .ok_or_else(|| StoreError::Meta(format!("no level {level}")))?;
         let [nz, ny, nx] = lm.shape;
-        let chunk = lm.chunk;
-        let mut vol = Volume::zeros(nx, ny, nz);
-        let grid = chunk_grid(lm.shape, chunk);
-        for cz in 0..grid[0] {
-            for cy in 0..grid[1] {
-                for cx in 0..grid[2] {
-                    let path = self.chunk_path(level, cz, cy, cx);
-                    let mut buf = Vec::new();
-                    std::fs::File::open(&path)?.read_to_end(&mut buf)?;
-                    if buf.len() < 4 {
-                        return Err(StoreError::Corrupt(format!("{path:?} truncated")));
-                    }
-                    let stored = u32::from_le_bytes(buf[..4].try_into().unwrap());
-                    let payload = &buf[4..];
-                    if crc32(payload) != stored {
-                        return Err(StoreError::Corrupt(format!("{path:?} checksum mismatch")));
-                    }
-                    let vals: Vec<f32> = payload
-                        .chunks_exact(4)
-                        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                        .collect();
-                    scatter_chunk(&mut vol, lm, (cz, cy, cx), &vals)?;
-                }
+        // the shape comes off disk: size it with checked arithmetic, and
+        // allocate only once every chunk file is there at full length
+        nx.checked_mul(ny)
+            .and_then(|n| n.checked_mul(nz))
+            .and_then(|n| n.checked_mul(4))
+            .ok_or_else(|| StoreError::Meta(format!("level shape {:?} overflows", lm.shape)))?;
+        let chunks = || {
+            let [gz, gy, gx] = chunk_grid(lm.shape, lm.chunk);
+            (0..gz)
+                .flat_map(move |cz| (0..gy).flat_map(move |cy| (0..gx).map(move |cx| (cz, cy, cx))))
+        };
+        for c in chunks() {
+            let path = self.chunk_path(level, c);
+            let len = std::fs::metadata(&path)?.len();
+            let [lz, ly, lx] = chunk_extent(lm, c);
+            let expected = 4 + 4 * lz * ly * lx;
+            if len != expected as u64 {
+                return Err(StoreError::Corrupt(format!(
+                    "{path:?} holds {len} bytes, expected {expected}"
+                )));
             }
+        }
+        let mut vol = Volume::zeros(nx, ny, nz);
+        for c in chunks() {
+            let path = self.chunk_path(level, c);
+            let mut buf = Vec::new();
+            std::fs::File::open(&path)?.read_to_end(&mut buf)?;
+            if buf.len() < 4 {
+                return Err(StoreError::Corrupt(format!("{path:?} truncated")));
+            }
+            let stored = u32::from_le_bytes(buf[..4].try_into().unwrap());
+            let payload = &buf[4..];
+            if crc32(payload) != stored {
+                return Err(StoreError::Corrupt(format!("{path:?} checksum mismatch")));
+            }
+            let vals: Vec<f32> = payload
+                .chunks_exact(4)
+                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+                .collect();
+            scatter_chunk(&mut vol, lm, c, &vals)?;
         }
         Ok(vol)
     }
@@ -196,7 +212,7 @@ impl MultiscaleStore {
         walk(&self.root)
     }
 
-    fn chunk_path(&self, level: usize, cz: usize, cy: usize, cx: usize) -> PathBuf {
+    fn chunk_path(&self, level: usize, (cz, cy, cx): (usize, usize, usize)) -> PathBuf {
         self.root
             .join(format!("L{level}"))
             .join(format!("{cz}.{cy}.{cx}"))
@@ -238,20 +254,26 @@ fn write_level(
     Ok(())
 }
 
+/// Voxels along (z, y, x) of chunk `(cz, cy, cx)`: the chunk shape,
+/// clipped at the level's far edges.
+fn chunk_extent(lm: &LevelMeta, (cz, cy, cx): (usize, usize, usize)) -> [usize; 3] {
+    let [nz, ny, nx] = lm.shape;
+    let chunk = lm.chunk;
+    [
+        chunk[0].min(nz - cz * chunk[0]),
+        chunk[1].min(ny - cy * chunk[1]),
+        chunk[2].min(nx - cx * chunk[2]),
+    ]
+}
+
 fn scatter_chunk(
     vol: &mut Volume,
     lm: &LevelMeta,
     (cz, cy, cx): (usize, usize, usize),
     vals: &[f32],
 ) -> Result<(), StoreError> {
-    let [nz, ny, nx] = lm.shape;
-    let chunk = lm.chunk;
-    let z0 = cz * chunk[0];
-    let y0 = cy * chunk[1];
-    let x0 = cx * chunk[2];
-    let lz = chunk[0].min(nz - z0);
-    let ly = chunk[1].min(ny - y0);
-    let lx = chunk[2].min(nx - x0);
+    let [z0, y0, x0] = [cz * lm.chunk[0], cy * lm.chunk[1], cx * lm.chunk[2]];
+    let [lz, ly, lx] = chunk_extent(lm, (cz, cy, cx));
     if vals.len() != lz * ly * lx {
         return Err(StoreError::Corrupt(format!(
             "chunk ({cz},{cy},{cx}) has {} values, expected {}",
@@ -424,6 +446,43 @@ mod tests {
         match read {
             Err(StoreError::Meta(m)) => assert!(m.contains("zero chunk"), "{m}"),
             other => panic!("expected a metadata error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn huge_declared_shape_is_an_error_not_an_abort() {
+        let dir = tmpdir("huge_shape");
+        std::fs::create_dir_all(&dir).unwrap();
+        // 2^50 voxels (4 PiB of f32) with no chunk on disk, then a shape
+        // whose voxel count overflows usize
+        for shape in [[1 << 20, 1 << 20, 1024], [usize::MAX, 2, 1]] {
+            let meta = StoreMeta {
+                name: "huge".into(),
+                dtype: "f32".into(),
+                levels: vec![LevelMeta {
+                    shape,
+                    chunk: [64, 64, 64],
+                }],
+            };
+            let meta_json = serde_json::to_string_pretty(&meta).unwrap();
+            std::fs::write(dir.join(".mzarr.json"), meta_json).unwrap();
+            let store = MultiscaleStore::open(&dir).unwrap();
+            assert!(store.read_level(0).is_err(), "{shape:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncated_chunk_is_corrupt() {
+        let dir = tmpdir("short_chunk");
+        let store = MultiscaleStore::create(&dir, "t", &test_volume(), [4, 4, 4], 1).unwrap();
+        let path = dir.join("L0").join("0.0.0");
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
+        match store.read_level(0) {
+            Err(StoreError::Corrupt(m)) => assert!(m.contains("expected"), "{m}"),
+            other => panic!("expected a corrupt chunk, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -179,11 +179,16 @@ impl FileWriterService {
                                 && frame.data().len() == a.rows * a.cols
                         };
                         match current.as_mut() {
-                            Some(scan) if valid(&scan.announce) => {
+                            // a full stack takes no more: the surplus
+                            // frame belongs to a scan whose start was lost
+                            Some(scan)
+                                if valid(&scan.announce)
+                                    && scan.angles.len() < scan.announce.n_angles =>
+                            {
                                 scan.stack.extend_from_slice(frame.data());
                                 scan.angles.push(frame.meta.angle_rad);
                             }
-                            // malformed, or no scan open to belong to
+                            // malformed, surplus, or no scan open to belong to
                             refused => {
                                 if let Some(scan) = refused {
                                     scan.rejected += 1;
@@ -198,6 +203,13 @@ impl FileWriterService {
                         let Some(scan) = current.take() else {
                             continue;
                         };
+                        if scan.announce.scan_id != *scan_id {
+                            // the end of another scan: this one's end and
+                            // the next one's start were lost in transit,
+                            // so its stack may hold frames of both
+                            scans_rejected.inc();
+                            continue;
+                        }
                         if scan.angles.is_empty() {
                             continue;
                         }

@@ -445,6 +445,13 @@ impl StreamingReconService {
                         let Some(scan) = current.take() else {
                             continue;
                         };
+                        if scan.announce.scan_id != *scan_id {
+                            // the end of another scan: this one's end and
+                            // the next one's start were lost in transit,
+                            // so its frames may belong to either scan
+                            m.scans_abandoned.inc();
+                            continue;
+                        }
                         let t_end = Instant::now();
                         if let Some(preview) = scan.finish(&scan_id) {
                             m.previews.inc();

@@ -260,22 +260,27 @@ fn abandoned_scans_and_orphan_frames_are_counted() {
             ..Default::default()
         },
     );
-    let a = Arc::new(announce(6));
-    let start = || StreamMessage::ScanStart(Arc::clone(&a));
+    let a = announce(6);
+    let start = |scan_id: &str| {
+        StreamMessage::ScanStart(Arc::new(ScanAnnounce {
+            scan_id: scan_id.into(),
+            ..a.clone()
+        }))
+    };
     let script = [
         good_frame(&a, 0), // no scan open yet
         good_frame(&a, 1),
-        start(),
+        start("unended"),
         good_frame(&a, 0),
         good_frame(&a, 1),
-        start(), // the scan in flight never ended
+        start("kept"), // the scan in flight never ended
         good_frame(&a, 0),
         good_frame(&a, 1),
         good_frame(&a, 2),
         end("kept"),
         good_frame(&a, 3), // after the end
         end("nothing open"),
-        start(),
+        start("last"),
         good_frame(&a, 5),
         end("last"),
     ];
@@ -309,6 +314,96 @@ fn abandoned_scans_and_orphan_frames_are_counted() {
     assert_eq!((ingested, rejected, dropped), (6, 3, 0));
     assert_eq!(published, ingested + rejected + control + dropped);
     streamer.stop();
+}
+
+/// Two back-to-back 16-angle scans whose boundary was lost in transit
+/// (`ScanEnd("s0")` and `ScanStart("s1")` both dropped, as a full Lossy
+/// queue or an expired Reliable send can do), then an intact scan `s2`.
+fn publish_scans_across_a_lost_boundary(server: &PvaServer) {
+    let vol = shepp_logan_volume(32, 2);
+    let det = DetectorConfig::default();
+    let geom = Geometry::parallel_180(16, 32);
+    let mut sim = ScanSimulator::new(&vol, geom.clone(), det, 0);
+    let pool = SlabPool::new(sim.rows() * sim.cols());
+    let s0 = announce_for(&sim, "s0", det.mu_scale);
+    server.publish(StreamMessage::ScanStart(Arc::new(s0)));
+    for _ in ["s0", "s1"] {
+        for a in 0..sim.n_frames() {
+            server.publish(StreamMessage::Frame(
+                pool.frame_from(|buf| sim.fill_frame(a, buf)),
+            ));
+        }
+    }
+    server.publish(end("s1"));
+    let mut sim = ScanSimulator::new(&vol, geom, det, 2);
+    publish_scan(server, &mut sim, "s2", det.mu_scale);
+}
+
+#[test]
+fn a_lost_scan_boundary_never_merges_two_scans_into_one_preview() {
+    let registry = Arc::new(Registry::new());
+    let server = PvaServer::with_registry("ioc", Arc::clone(&registry));
+    let (streamer, previews) = StreamingReconService::spawn(
+        server.subscribe_named("preview", 4096, DeliveryMode::Reliable),
+        StreamerConfig {
+            stream: "s".into(),
+            registry: Some(Arc::clone(&registry)),
+            ..Default::default()
+        },
+    );
+    publish_scans_across_a_lost_boundary(&server);
+    let p = previews
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the intact scan's preview");
+    assert_eq!(
+        (p.scan_id.as_str(), p.cached_frames, p.dropped_frames),
+        ("s2", 16, 0),
+        "the scan cut off by the lost boundary yields no preview"
+    );
+    assert!(previews.recv_timeout(Duration::from_millis(200)).is_none());
+    let snap = registry.snapshot();
+    assert_eq!(
+        snap.counters["stream_scans_abandoned_total{stream=\"s\"}"],
+        1
+    );
+    streamer.stop();
+}
+
+#[test]
+fn a_lost_scan_boundary_never_merges_two_scans_into_one_file() {
+    let dir = std::env::temp_dir().join("streamer_lost_boundary");
+    std::fs::remove_dir_all(&dir).ok();
+    let registry = Arc::new(Registry::new());
+    let server = PvaServer::with_registry("ioc", Arc::clone(&registry));
+    let writer = FileWriterService::spawn_with(
+        server.subscribe_named("filewriter", 4096, DeliveryMode::Reliable),
+        &dir,
+        FileWriterConfig {
+            stream: "s".into(),
+            registry: Some(Arc::clone(&registry)),
+            ..Default::default()
+        },
+    );
+    publish_scans_across_a_lost_boundary(&server);
+    let w = writer
+        .wait_completion(Duration::from_secs(20))
+        .expect("the intact scan's file");
+    assert_eq!(
+        (w.scan_id.as_str(), w.n_frames, w.rejected_frames),
+        ("s2", 16, 0),
+        "the scan cut off by the lost boundary is not written"
+    );
+    assert!(writer.wait_completion(Duration::from_millis(200)).is_none());
+    assert!(!dir.join("s0.sdf").exists() && !dir.join("s1.sdf").exists());
+    // the full s0 stack refused s1's 16 frames
+    assert_eq!(writer.rejected_count(), 16);
+    let snap = registry.snapshot();
+    assert_eq!(
+        snap.counters["stream_writer_scans_rejected_total{stream=\"s\"}"],
+        1
+    );
+    writer.stop();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -51,7 +51,6 @@ pub mod prep;
 pub mod quality;
 pub mod radon;
 pub mod simd;
-pub mod sino_ops;
 pub mod throughput;
 
 pub use filter::{FilterKind, FilterPlan};
@@ -68,7 +67,6 @@ pub use prep::{PaganinPlan, RawPrepPlan, SinoPostPlan, SinoPostScratch};
 pub use quality::{mse, psnr, ssim};
 pub use radon::forward_project;
 pub use simd::SimdPath;
-pub use sino_ops::{bin_detector, crop_roi, fold_360_to_180, pad_edges};
 
 /// Errors produced by reconstruction entry points.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -8,11 +8,9 @@
 //! * intensity windowing and histograms (how users inspect attenuation);
 //! * 8-bit PGM image export so previews can be opened with any viewer.
 
-pub mod colormap;
 pub mod render;
 pub mod window;
 
-pub use colormap::{render_rgb, write_ppm, Colormap};
 pub use render::{write_pgm, write_preview_pgms};
 pub use window::{histogram, Window};
 
