@@ -1,9 +1,19 @@
 #!/usr/bin/env bash
-# Lists every `pub` item — fn (including `const fn`), struct, enum, trait,
-# const, type or static — declared under crates/*/src whose name occurs
-# only once as a word across crates/, tests/, examples/ and benchmark/:
-# that one occurrence being its own declaration, so nothing uses it, not
-# even a test. Exits nonzero when the list is not empty.
+# Lists the `pub` items under crates/*/src that nothing uses, not even a
+# test, by two rules over crates/, tests/, examples/ and benchmark/:
+#
+# 1. a `pub` item — fn (including `const fn`), struct, enum, trait,
+#    const, type or static — whose name occurs only once as a word: that
+#    one occurrence is its own declaration;
+# 2. a `pub fn` whose name never occurs the way a call or a path does
+#    (`.name`, `::name` or `name(`) except in `fn name` declarations:
+#    a common word used elsewhere hides it from rule 1, but nothing calls
+#    it.
+#
+# Exits nonzero when either list is not empty. A text search cannot tell
+# which type a method belongs to: a `pub fn` that shares its name with a
+# method called on another type (say `forward` or `server`) passes both
+# rules even when no caller reaches it.
 #
 # Usage: ci/unreferenced_pub_fns.sh (from any directory)
 set -euo pipefail
@@ -20,11 +30,26 @@ unreferenced=$(
         <(grep -rhoE "\bpub $kinds [A-Za-z_][A-Za-z0-9_]*" crates/*/src | awk '{print $NF}' | sort -u)
 )
 
-if [ -n "$unreferenced" ]; then
-    echo "pub items named nowhere but their own declaration:"
-    for name in $unreferenced; do
+# every word with what precedes and follows it, then the `pub fn` names
+# no `.name`, `::name` or `name(` reaches but a `fn name` declaration
+uncalled=$(
+    awk 'NR == FNR {
+             if ($0 !~ /^fn / && ($0 ~ /^(\.|::)/ || $0 ~ /\($/)) {
+                 sub(/^(\.|::)/, ""); sub(/\($/, ""); called[$0] = 1
+             }
+             next
+         }
+         !($1 in called)' \
+        <(grep -rhoE --exclude-dir=target '(\bfn |\.|::)?\b[A-Za-z_][A-Za-z0-9_]*\(?' "${dirs[@]}") \
+        <(grep -rhoE '\bpub (const )?fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src | awk '{print $NF}' | sort -u)
+)
+
+flagged=$(printf '%s\n%s\n' "$unreferenced" "$uncalled" | sed '/^$/d' | sort -u)
+if [ -n "$flagged" ]; then
+    echo "pub items named nowhere but their own declaration, or pub fns nothing calls:"
+    for name in $flagged; do
         grep -rnE --include='*.rs' "\bpub $kinds $name\b" crates/*/src | sed 's/^/  /'
     done
     exit 1
 fi
-echo "every pub item under crates/*/src is named somewhere else"
+echo "every pub item under crates/*/src is named somewhere else, and every pub fn is called"

@@ -54,8 +54,6 @@ pub const FLOW_ALCF: &str = "alcf_recon_flow";
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     pub seed: u64,
-    /// Fail transfers immediately on permission errors (§5.3 remediation).
-    pub fail_fast: bool,
     /// QOS for NERSC reconstruction jobs (paper: `realtime`). Router
     /// health probes ride the same QOS so a recovered facility is
     /// re-admitted promptly even behind a background-job backlog.
@@ -107,7 +105,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             seed: 832,
-            fail_fast: true,
             nersc_qos: Qos::Realtime,
             alcf_mode: AcquisitionMode::DemandQueue,
             verify_checksums: true,
@@ -217,6 +214,10 @@ pub mod calib {
     pub const ALCF_FIXED_SIGMA: f64 = 0.22;
     /// ALCF function: reconstruction seconds per raw GiB (GPU-assisted).
     pub const ALCF_RECON_S_PER_GIB: f64 = 13.0;
+
+    /// Globus transfers fail immediately on permission errors (the §5.3
+    /// remediation; the incident experiment drives the other setting).
+    pub const TRANSFER_FAIL_FAST: bool = true;
 
     /// Nodes in the OLCF batch partition slice.
     pub const OLCF_NODES: usize = 16;
@@ -861,7 +862,7 @@ impl FacilitySim {
     fn transfer_opts(&self) -> TransferOptions {
         TransferOptions {
             verify_checksum: self.cfg.verify_checksums,
-            fail_fast: self.cfg.fail_fast,
+            fail_fast: calib::TRANSFER_FAIL_FAST,
         }
     }
 

@@ -185,14 +185,6 @@ impl NerscController {
             slurm: SlurmBackend::new(Facility::Nersc, nodes, "als"),
         }
     }
-
-    pub fn server(&self) -> &SfApiServer {
-        &self.slurm.server
-    }
-
-    pub fn server_mut(&mut self) -> &mut SfApiServer {
-        &mut self.slurm.server
-    }
 }
 
 impl FacilityController for NerscController {
@@ -281,14 +273,6 @@ impl OlcfController {
             slurm: SlurmBackend::new(Facility::Olcf, nodes, "als"),
         }
     }
-
-    pub fn server(&self) -> &SfApiServer {
-        &self.slurm.server
-    }
-
-    pub fn server_mut(&mut self) -> &mut SfApiServer {
-        &mut self.slurm.server
-    }
 }
 
 impl FacilityController for OlcfController {
@@ -368,10 +352,6 @@ impl AlcfController {
             ep: ComputeEndpoint::new(mode, max_nodes),
             max_nodes,
         }
-    }
-
-    pub fn endpoint(&self) -> &ComputeEndpoint {
-        &self.ep
     }
 
     fn pending_count(&self) -> usize {

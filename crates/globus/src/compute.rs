@@ -214,11 +214,6 @@ impl ComputeEndpoint {
         id
     }
 
-    /// The label an invocation was submitted with, if any.
-    pub fn task_label(&self, id: ComputeTaskId) -> Option<&str> {
-        self.tasks.get(&id)?.label.as_deref()
-    }
-
     /// Every labelled invocation in any state (the recovery sweep:
     /// compare against the journal's known handles to find orphans).
     pub fn tasks_labeled(&self) -> Vec<(ComputeTaskId, &str, ComputeTaskState)> {

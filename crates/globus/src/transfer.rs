@@ -352,11 +352,6 @@ impl TransferService {
         id
     }
 
-    /// The label a task was submitted with, if any.
-    pub fn task_label(&self, id: TaskId) -> Option<&str> {
-        self.tasks.get(&id)?.label.as_deref()
-    }
-
     /// Every labelled task in any state (the recovery sweep: compare
     /// against the journal's known handles to find orphans to adopt).
     pub fn tasks_labeled(&self) -> Vec<(TaskId, &str, TaskStatus)> {

@@ -15,14 +15,16 @@
 //!   after the budget is still counted, never silently lost.
 //!
 //! Per-subscriber drop counters and queue-depth gauges export through an
-//! optional `als-telemetry` registry.
+//! optional `als-telemetry` registry; without one the counters are
+//! detached, on the same code path, and no queue depth is read.
 
 use crate::slab::SlabFrame;
 use crate::ScanAnnounce;
 use als_telemetry::{Counter, Gauge, Registry};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{
+    bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError,
+};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,21 +53,23 @@ pub enum DeliveryMode {
 struct SubEntry {
     tx: Sender<StreamMessage>,
     mode: DeliveryMode,
-    dropped: Arc<AtomicU64>,
-    dropped_metric: Option<Counter>,
+    /// This subscriber's drops, as its [`Subscription`] reads them.
+    dropped: Counter,
+    dropped_metric: Counter,
+    /// Read only for a registry: it locks the subscriber's queue.
     depth_metric: Option<Gauge>,
 }
 
 /// The publisher side.
 pub struct PvaServer {
     subs: Mutex<Vec<SubEntry>>,
-    published: AtomicU64,
-    dropped: AtomicU64,
+    published: Counter,
+    dropped: Counter,
     /// How long a publish may stall on one Reliable subscriber before the
     /// frame is abandoned (and counted) for it.
     reliable_wait: Duration,
     telemetry: Option<(Arc<Registry>, String)>,
-    published_metric: Option<Counter>,
+    published_metric: Counter,
 }
 
 impl std::fmt::Debug for PvaServer {
@@ -82,11 +86,11 @@ impl Default for PvaServer {
     fn default() -> Self {
         PvaServer {
             subs: Mutex::new(Vec::new()),
-            published: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            published: Counter::default(),
+            dropped: Counter::default(),
             reliable_wait: Duration::from_secs(30),
             telemetry: None,
-            published_metric: None,
+            published_metric: Counter::default(),
         }
     }
 }
@@ -103,7 +107,7 @@ impl PvaServer {
             registry.counter("stream_frames_published_total", &[("channel", channel)]);
         Arc::new(PvaServer {
             telemetry: Some((registry, channel.to_string())),
-            published_metric: Some(published_metric),
+            published_metric,
             ..PvaServer::default()
         })
     }
@@ -125,32 +129,25 @@ impl PvaServer {
     /// labels this subscriber's drop counter and queue-depth gauge.
     pub fn subscribe_named(&self, name: &str, capacity: usize, mode: DeliveryMode) -> Subscription {
         let (tx, rx) = bounded(capacity.max(1));
-        let dropped = Arc::new(AtomicU64::new(0));
+        let dropped = Counter::default();
         let (dropped_metric, depth_metric) = match &self.telemetry {
-            Some((registry, channel)) => (
-                Some(registry.counter(
-                    "stream_frames_dropped_total",
-                    &[("channel", channel), ("subscriber", name)],
-                )),
-                Some(registry.gauge(
-                    "stream_queue_depth",
-                    &[("channel", channel), ("subscriber", name)],
-                )),
-            ),
-            None => (None, None),
+            Some((registry, channel)) => {
+                let l = &[("channel", channel.as_str()), ("subscriber", name)];
+                (
+                    registry.counter("stream_frames_dropped_total", l),
+                    Some(registry.gauge("stream_queue_depth", l)),
+                )
+            }
+            None => Default::default(),
         };
         self.subs.lock().push(SubEntry {
             tx,
             mode,
-            dropped: Arc::clone(&dropped),
+            dropped: dropped.clone(),
             dropped_metric,
             depth_metric,
         });
-        Subscription {
-            rx,
-            dropped,
-            name: name.to_string(),
-        }
+        Subscription { rx, dropped }
     }
 
     /// Publish to every live subscriber. Lossy subscribers behind on
@@ -158,53 +155,42 @@ impl PvaServer {
     /// subscribers stall the publisher — backpressure — up to the
     /// reliable-wait budget. Disconnected subscribers are pruned.
     pub fn publish(&self, msg: StreamMessage) {
-        self.published.fetch_add(1, Ordering::Relaxed);
-        if let Some(c) = &self.published_metric {
-            c.inc();
-        }
-        let mut subs = self.subs.lock();
-        let reliable_wait = self.reliable_wait;
-        let server_dropped = &self.dropped;
-        subs.retain(|entry| {
-            let delivered = match entry.mode {
+        self.published.inc();
+        self.published_metric.inc();
+        self.subs.lock().retain(|entry| {
+            // a disconnected subscriber is pruned
+            let sent = match entry.mode {
                 DeliveryMode::Lossy => match entry.tx.try_send(msg.clone()) {
-                    Ok(()) => Ok(true),
-                    Err(crossbeam::channel::TrySendError::Full(_)) => Ok(false),
-                    Err(crossbeam::channel::TrySendError::Disconnected(_)) => Err(()),
+                    Err(TrySendError::Disconnected(_)) => return false,
+                    sent => sent.is_ok(),
                 },
-                DeliveryMode::Reliable => match entry.tx.send_timeout(msg.clone(), reliable_wait) {
-                    Ok(()) => Ok(true),
-                    Err(crossbeam::channel::SendTimeoutError::Timeout(_)) => Ok(false),
-                    Err(crossbeam::channel::SendTimeoutError::Disconnected(_)) => Err(()),
-                },
-            };
-            match delivered {
-                Ok(sent) => {
-                    if !sent {
-                        entry.dropped.fetch_add(1, Ordering::Relaxed);
-                        server_dropped.fetch_add(1, Ordering::Relaxed);
-                        if let Some(c) = &entry.dropped_metric {
-                            c.inc();
-                        }
+                DeliveryMode::Reliable => {
+                    match entry.tx.send_timeout(msg.clone(), self.reliable_wait) {
+                        Err(SendTimeoutError::Disconnected(_)) => return false,
+                        sent => sent.is_ok(),
                     }
-                    if let Some(g) = &entry.depth_metric {
-                        g.set(entry.tx.len() as i64);
-                    }
-                    true
                 }
-                Err(()) => false,
+            };
+            if !sent {
+                entry.dropped.inc();
+                entry.dropped_metric.inc();
+                self.dropped.inc();
             }
+            if let Some(g) = &entry.depth_metric {
+                g.set(entry.tx.len() as i64);
+            }
+            true
         });
     }
 
     /// Updates published so far.
     pub fn published_count(&self) -> u64 {
-        self.published.load(Ordering::Relaxed)
+        self.published.get()
     }
 
     /// Updates dropped across all subscribers.
     pub fn dropped_count(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped.get()
     }
 
     pub fn subscriber_count(&self) -> usize {
@@ -216,8 +202,7 @@ impl PvaServer {
 #[derive(Debug)]
 pub struct Subscription {
     rx: Receiver<StreamMessage>,
-    dropped: Arc<AtomicU64>,
-    name: String,
+    dropped: Counter,
 }
 
 impl Subscription {
@@ -242,12 +227,7 @@ impl Subscription {
     /// Updates the publisher dropped for this subscriber because its
     /// queue was full (exact: published = received + queued + dropped).
     pub fn dropped_count(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// The name this subscriber registered under.
-    pub fn name(&self) -> &str {
-        &self.name
+        self.dropped.get()
     }
 }
 

@@ -3,7 +3,10 @@
 //! Subscribes to the mirror, validates each frame's metadata, and — once
 //! the acquisition completes — writes the scan container to the beamline
 //! data directory and reports the finished file (the hook that triggers
-//! the Prefect `new_file_832` flow in production).
+//! the Prefect `new_file_832` flow in production). The scan-boundary
+//! rule is the loop it shares with the streaming service (the `service`
+//! module); the writer supplies its stack, its "stack full" rule and the
+//! save.
 //!
 //! The writer is zero-copy on the hot path: each validated frame's
 //! pixels are appended straight out of the shared slab into the one
@@ -13,15 +16,14 @@
 //! stack is handed to [`ScanFile::from_raw_parts`] by value — no
 //! per-frame `Frame` clone and no second whole-scan copy.
 
-use crate::channel::{StreamMessage, Subscription};
+use crate::channel::Subscription;
+use crate::service::{spawn_scan_consumer, BoundaryCounters, Replies, ScanConsumer, ServiceThread};
+use crate::slab::FrameSlab;
 use crate::ScanAnnounce;
 use als_scidata::ScanFile;
 use als_telemetry::{Counter, Registry};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Report for one completed acquisition.
@@ -58,40 +60,34 @@ impl Default for FileWriterConfig {
 
 /// Handle to a running file writer.
 pub struct FileWriterHandle {
-    completions: Receiver<WrittenScan>,
-    rejected: Arc<AtomicU64>,
-    completions_dropped: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    _thread: ServiceThread,
+    replies: Replies<WrittenScan>,
 }
 
 impl FileWriterHandle {
     /// Wait for the next completed scan file.
     pub fn wait_completion(&self, timeout: Duration) -> Option<WrittenScan> {
-        self.completions.recv_timeout(timeout).ok()
+        self.replies.rx.recv_timeout(timeout).ok()
     }
 
     /// Total frames rejected by validation so far.
     pub fn rejected_count(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
+        self.replies.rejected.get()
     }
 
     /// Completion reports abandoned because the bounded queue was full.
     pub fn completions_dropped(&self) -> u64 {
-        self.completions_dropped.load(Ordering::Relaxed)
+        self.replies.dropped.get()
     }
 
     /// Stop the service and join its thread (what dropping it does).
     pub fn stop(self) {}
 }
 
-impl Drop for FileWriterHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+/// Where finished scans are written, and the count of those written.
+struct WriterOutput {
+    dir: PathBuf,
+    written: Counter,
 }
 
 /// Pixels accumulated for the scan currently being received.
@@ -101,6 +97,70 @@ struct ScanInProgress {
     stack: Vec<u16>,
     angles: Vec<f64>,
     rejected: usize,
+}
+
+impl ScanConsumer for ScanInProgress {
+    type Ctx = WriterOutput;
+    type Product = WrittenScan;
+
+    /// A contradictory announcement, or a stack this host cannot hold,
+    /// refuses the scan.
+    fn open(announce: Arc<ScanAnnounce>, _: &WriterOutput) -> Result<Self, String> {
+        announce.validate()?;
+        let mut stack = Vec::new();
+        stack
+            .try_reserve_exact(announce.n_angles * announce.rows * announce.cols)
+            .map_err(|e| e.to_string())?;
+        Ok(ScanInProgress {
+            stack,
+            angles: Vec::with_capacity(announce.n_angles),
+            announce,
+            rejected: 0,
+        })
+    }
+
+    fn ingest(&mut self, frame: &FrameSlab) -> bool {
+        // a full stack takes no more: the surplus frame belongs to a
+        // scan whose start was lost
+        if !self.announce.fits(frame) || self.angles.len() == self.announce.n_angles {
+            self.rejected += 1;
+            return false;
+        }
+        self.stack.extend_from_slice(frame.data());
+        self.angles.push(frame.meta.angle_rad);
+        true
+    }
+
+    fn received(&self) -> usize {
+        self.angles.len()
+    }
+
+    fn finish(self, out: &WriterOutput) -> Option<WrittenScan> {
+        let a = &self.announce;
+        let n_frames = self.angles.len();
+        let file = ScanFile::from_raw_parts(
+            &a.scan_id,
+            n_frames,
+            a.rows,
+            a.cols,
+            self.stack,
+            &a.dark,
+            &a.flat,
+            &self.angles,
+        )
+        .ok()?;
+        std::fs::create_dir_all(&out.dir).ok();
+        let path = out.dir.join(format!("{}.sdf", a.scan_id));
+        file.save(&path).ok()?;
+        out.written.inc();
+        Some(WrittenScan {
+            scan_id: a.scan_id.clone(),
+            path,
+            n_frames,
+            bytes: file.nbytes(),
+            rejected_frames: self.rejected,
+        })
+    }
 }
 
 /// The service itself.
@@ -119,138 +179,25 @@ impl FileWriterService {
         out_dir: &Path,
         cfg: FileWriterConfig,
     ) -> FileWriterHandle {
-        let out_dir = out_dir.to_path_buf();
-        let (tx, rx): (Sender<WrittenScan>, Receiver<WrittenScan>) =
-            bounded(cfg.completion_queue.max(1));
-        let rejected = Arc::new(AtomicU64::new(0));
-        let rejected2 = Arc::clone(&rejected);
-        let completions_dropped = Arc::new(AtomicU64::new(0));
-        let completions_dropped2 = Arc::clone(&completions_dropped);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        // without a registry the counters are detached: same code path
-        let counter = |name: &str| {
-            let l = &[("stream", cfg.stream.as_str())][..];
-            cfg.registry
-                .as_ref()
-                .map_or_else(Counter::default, |r| r.counter(name, l))
+        // without a registry the metrics go to a private one: same code path
+        let r = cfg.registry.unwrap_or_default();
+        let l = &[("stream", cfg.stream.as_str())][..];
+        let counters = BoundaryCounters {
+            ingested: Counter::default(),
+            rejected: r.counter("stream_writer_rejected_total", l),
+            scans_rejected: r.counter("stream_writer_scans_rejected_total", l),
+            scans_abandoned: r.counter("stream_writer_scans_abandoned_total", l),
+            dropped: r.counter("stream_writer_completions_dropped_total", l),
         };
-        let rejected_metric = counter("stream_writer_rejected_total");
-        let scans_rejected = counter("stream_writer_scans_rejected_total");
-        let written = counter("stream_scans_written_total");
-        let completions_dropped_metric = counter("stream_writer_completions_dropped_total");
-        let handle = std::thread::spawn(move || {
-            let mut current: Option<ScanInProgress> = None;
-            while !stop2.load(Ordering::Relaxed) {
-                let msg = match sub.recv_timeout(Duration::from_millis(20)) {
-                    Ok(m) => m,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                };
-                match msg {
-                    StreamMessage::ScanStart(announce) => {
-                        // a contradictory announcement, or a stack this
-                        // host cannot hold, refuses the scan: its frames
-                        // are rejected one by one below
-                        let mut stack = Vec::new();
-                        let sized = announce.validate().is_ok()
-                            && stack
-                                .try_reserve_exact(
-                                    announce.n_angles * announce.rows * announce.cols,
-                                )
-                                .is_ok();
-                        current = sized.then(|| ScanInProgress {
-                            stack,
-                            angles: Vec::with_capacity(announce.n_angles),
-                            announce,
-                            rejected: 0,
-                        });
-                        if current.is_none() {
-                            scans_rejected.inc();
-                        }
-                    }
-                    StreamMessage::Frame(frame) => {
-                        // validate metadata before writing, as the
-                        // production service does
-                        let valid = |a: &ScanAnnounce| {
-                            frame.meta.validate().is_ok()
-                                && frame.meta.rows == a.rows
-                                && frame.meta.cols == a.cols
-                                && frame.data().len() == a.rows * a.cols
-                        };
-                        match current.as_mut() {
-                            // a full stack takes no more: the surplus
-                            // frame belongs to a scan whose start was lost
-                            Some(scan)
-                                if valid(&scan.announce)
-                                    && scan.angles.len() < scan.announce.n_angles =>
-                            {
-                                scan.stack.extend_from_slice(frame.data());
-                                scan.angles.push(frame.meta.angle_rad);
-                            }
-                            // malformed, surplus, or no scan open to belong to
-                            refused => {
-                                if let Some(scan) = refused {
-                                    scan.rejected += 1;
-                                }
-                                rejected2.fetch_add(1, Ordering::Relaxed);
-                                rejected_metric.inc();
-                            }
-                        }
-                        // `frame` drops here: the slab recycles mid-scan
-                    }
-                    StreamMessage::ScanEnd { scan_id } => {
-                        let Some(scan) = current.take() else {
-                            continue;
-                        };
-                        if scan.announce.scan_id != *scan_id {
-                            // the end of another scan: this one's end and
-                            // the next one's start were lost in transit,
-                            // so its stack may hold frames of both
-                            scans_rejected.inc();
-                            continue;
-                        }
-                        if scan.angles.is_empty() {
-                            continue;
-                        }
-                        let n_frames = scan.angles.len();
-                        if let Ok(file) = ScanFile::from_raw_parts(
-                            &scan_id,
-                            n_frames,
-                            scan.announce.rows,
-                            scan.announce.cols,
-                            scan.stack,
-                            &scan.announce.dark,
-                            &scan.announce.flat,
-                            &scan.angles,
-                        ) {
-                            std::fs::create_dir_all(&out_dir).ok();
-                            let path = out_dir.join(format!("{scan_id}.sdf"));
-                            if file.save(&path).is_ok() {
-                                written.inc();
-                                let report = WrittenScan {
-                                    scan_id: scan_id.to_string(),
-                                    path,
-                                    n_frames,
-                                    bytes: file.nbytes(),
-                                    rejected_frames: scan.rejected,
-                                };
-                                if tx.try_send(report).is_err() {
-                                    completions_dropped2.fetch_add(1, Ordering::Relaxed);
-                                    completions_dropped_metric.inc();
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        });
+        let out = WriterOutput {
+            dir: out_dir.to_path_buf(),
+            written: r.counter("stream_scans_written_total", l),
+        };
+        let (thread, replies) =
+            spawn_scan_consumer::<ScanInProgress>(sub, out, cfg.completion_queue, counters);
         FileWriterHandle {
-            completions: rx,
-            rejected,
-            completions_dropped,
-            stop,
-            handle: Some(handle),
+            _thread: thread,
+            replies,
         }
     }
 }
@@ -258,7 +205,7 @@ impl FileWriterService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::PvaServer;
+    use crate::channel::{PvaServer, StreamMessage};
     use crate::publish_scan;
     use crate::slab::FrameSlab;
     use als_phantom::{shepp_logan_volume, DetectorConfig, FrameMeta, ScanSimulator};

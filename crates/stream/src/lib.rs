@@ -8,6 +8,8 @@
 //! * [`channel`] — a PVA-style pub/sub channel: one publisher (the
 //!   detector IOC), many monitor subscribers with bounded queues, lossy
 //!   or reliable (backpressuring) delivery, and exact drop accounting;
+//! * `service` — the one service thread the next three run on, and the
+//!   one scan-consumer loop (the scan-boundary rule) the last two share;
 //! * [`mirror`] — the channel mirror server that republishes the
 //!   detector stream for the file writer *and* the optional remote
 //!   streaming service (§4.2.1);
@@ -26,6 +28,7 @@ pub mod channel;
 pub mod filewriter;
 pub mod mirror;
 pub mod multiplex;
+mod service;
 pub mod slab;
 pub mod streamer;
 
@@ -90,6 +93,14 @@ impl ScanAnnounce {
             return Err(format!("projection angle {bad}"));
         }
         Ok(())
+    }
+
+    /// Whether `frame` is well formed and has the announced shape: the
+    /// check every consumer makes before it touches a frame's pixels.
+    pub(crate) fn fits(&self, frame: &FrameSlab) -> bool {
+        let m = &frame.meta;
+        let shape = (m.rows, m.cols, frame.data().len());
+        m.validate().is_ok() && shape == (self.rows, self.cols, self.rows * self.cols)
     }
 }
 

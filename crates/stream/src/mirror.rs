@@ -3,21 +3,21 @@
 //! The beamline's local storage server runs a mirror that subscribes to
 //! the detector IOC's channel and republishes every update on its own
 //! server, decoupling the IOC from downstream consumers (the file writer
-//! and the optional NERSC streaming service). The mirror runs on its own
-//! thread and forwards until the upstream goes quiet or it is stopped.
+//! and the optional NERSC streaming service). The mirror runs on the
+//! shared service thread and forwards until the upstream goes quiet or
+//! it is stopped.
 
-use crate::channel::{PvaServer, StreamMessage, Subscription};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::channel::{PvaServer, Subscription};
+use crate::service::ServiceThread;
+use als_telemetry::Counter;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// A running channel mirror.
+/// A running channel mirror; dropping it stops and joins its thread.
 pub struct ChannelMirror {
+    _thread: ServiceThread,
     output: Arc<PvaServer>,
-    forwarded: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    forwarded: Counter,
 }
 
 impl ChannelMirror {
@@ -36,28 +36,16 @@ impl ChannelMirror {
         output: Arc<PvaServer>,
         idle_timeout: Duration,
     ) -> ChannelMirror {
-        let forwarded = Arc::new(AtomicU64::new(0));
-        let stop = Arc::new(AtomicBool::new(false));
-        let out2 = Arc::clone(&output);
-        let fwd2 = Arc::clone(&forwarded);
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                match upstream.recv_timeout(idle_timeout) {
-                    Ok(msg) => {
-                        out2.publish(msg);
-                        fwd2.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                }
-            }
+        let forwarded = Counter::default();
+        let (out2, fwd2) = (Arc::clone(&output), forwarded.clone());
+        let thread = ServiceThread::spawn(upstream, idle_timeout, move |msg| {
+            out2.publish(msg);
+            fwd2.inc();
         });
         ChannelMirror {
+            _thread: thread,
             output,
             forwarded,
-            stop,
-            handle: Some(handle),
         }
     }
 
@@ -68,36 +56,17 @@ impl ChannelMirror {
 
     /// Updates forwarded so far.
     pub fn forwarded_count(&self) -> u64 {
-        self.forwarded.load(Ordering::Relaxed)
+        self.forwarded.get()
     }
 
-    /// Stop the mirror and join its thread.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ChannelMirror {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Convenience: forward a scan message unchanged (identity transform the
-/// mirror applies; exists so republishing policy changes have one place).
-pub fn forward(msg: StreamMessage) -> StreamMessage {
-    msg
+    /// Stop the mirror and join its thread (what dropping it does).
+    pub fn stop(self) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::StreamMessage;
     use crate::slab::FrameSlab;
     use als_phantom::FrameMeta;
 

@@ -67,7 +67,7 @@ impl StreamHub {
             name: name.to_string(),
             server,
             previews,
-            service: Some(service),
+            _service: service,
         }
     }
 }
@@ -81,16 +81,13 @@ pub struct StreamLane {
     pub server: Arc<PvaServer>,
     /// Preview replies from the lane's reconstruction service.
     pub previews: PreviewChannel,
-    service: Option<StreamingReconService>,
+    _service: StreamingReconService,
 }
 
 impl StreamLane {
-    /// Stop the lane's reconstruction service and join its thread.
-    pub fn close(mut self) {
-        if let Some(svc) = self.service.take() {
-            svc.stop();
-        }
-    }
+    /// Stop the lane's reconstruction service and join its thread (what
+    /// dropping it does).
+    pub fn close(self) {}
 }
 
 #[cfg(test)]

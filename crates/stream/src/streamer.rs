@@ -17,23 +17,22 @@
 //! [`ReconPlan`] (filter response, FFT tables, trig, clip intervals built
 //! once), each stream keeping only its own running volume.
 //!
-//! Previews return over a *bounded* reply channel; a preview abandoned
-//! because the beamline side is behind is counted, never silently lost,
-//! and so is every scan or frame the service refuses. Per-stream
-//! ingest/drop/latency metrics export through `als-telemetry`.
+//! Previews return over a *bounded* reply channel. The service runs the
+//! scan-consumer loop it shares with the file writer (the `service`
+//! module), which counts every scan, frame or preview it refuses,
+//! abandons or drops. Per-stream metrics export through `als-telemetry`.
 
-use crate::channel::{StreamMessage, Subscription};
+use crate::channel::Subscription;
+use crate::service::{spawn_scan_consumer, BoundaryCounters, Replies, ScanConsumer, ServiceThread};
 use crate::slab::FrameSlab;
 use crate::ScanAnnounce;
 use als_telemetry::{Counter, Histogram, Registry};
 use als_tomo::{
     FbpAccumulator, FbpConfig, FilterKind, Geometry, Image, RawPrepPlan, ReconPlan, TomoError,
 };
-use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Configuration for the streaming service.
@@ -233,19 +232,13 @@ impl IncrementalScan {
     /// the announced angle it carries — a corrupted frame never poisons
     /// the reconstruction.
     pub fn ingest(&mut self, frame: &FrameSlab) -> bool {
-        let a = &self.announce;
         let meta = &frame.meta;
-        let announced = a.angles.get(meta.frame_id).map(|t| t.to_bits());
-        let ok = meta.validate().is_ok()
-            && meta.rows == a.rows
-            && meta.cols == a.cols
-            && frame.data().len() == a.rows * a.cols
-            && announced == Some(meta.angle_rad.to_bits());
-        if !ok {
+        let announced = self.announce.angles.get(meta.frame_id).map(|t| t.to_bits());
+        if !(self.announce.fits(frame) && announced == Some(meta.angle_rad.to_bits())) {
             self.rejected += 1;
             return false;
         }
-        let cols = a.cols;
+        let cols = self.announce.cols;
         let rows = frame.data().chunks_exact(cols);
         for (r, (raw, dst)) in rows
             .zip(self.volume.stage_mut().chunks_exact_mut(cols))
@@ -331,56 +324,64 @@ pub struct Preview {
 
 /// Receiving side of the ZeroMQ-style reply channel at the beamline.
 pub struct PreviewChannel {
-    rx: Receiver<Preview>,
-    dropped: Arc<AtomicU64>,
+    replies: Replies<Preview>,
 }
 
 impl PreviewChannel {
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Preview> {
-        self.rx.recv_timeout(timeout).ok()
+        self.replies.rx.recv_timeout(timeout).ok()
     }
 
     /// Previews abandoned because this channel's bounded queue was full.
     pub fn dropped_count(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.replies.dropped.get()
     }
 }
 
-#[derive(Default)]
-struct StreamMetrics {
-    ingested: Counter,
-    rejected: Counter,
-    scans_rejected: Counter,
-    scans_abandoned: Counter,
+/// What every scan of one streaming service is opened with, and what
+/// it records per preview.
+pub(crate) struct StreamContext {
+    plans: Arc<PlanCache>,
+    fbp: FbpConfig,
     previews: Counter,
-    previews_dropped: Counter,
     feedback_us: Histogram,
     /// Scan-end residual ([`Preview::recon_wall`]).
     recon_us: Histogram,
     ingest_busy_us: Histogram,
 }
 
-impl StreamMetrics {
-    fn new(registry: &Registry, stream: &str) -> StreamMetrics {
-        let l = &[("stream", stream)][..];
-        StreamMetrics {
-            ingested: registry.counter("stream_frames_ingested_total", l),
-            rejected: registry.counter("stream_frames_rejected_total", l),
-            scans_rejected: registry.counter("stream_scans_rejected_total", l),
-            scans_abandoned: registry.counter("stream_scans_abandoned_total", l),
-            previews: registry.counter("stream_previews_total", l),
-            previews_dropped: registry.counter("stream_previews_dropped_total", l),
-            feedback_us: registry.histogram("stream_preview_feedback_us", l),
-            recon_us: registry.histogram("stream_preview_recon_us", l),
-            ingest_busy_us: registry.histogram("stream_preview_ingest_busy_us", l),
-        }
+impl ScanConsumer for IncrementalScan {
+    type Ctx = StreamContext;
+    type Product = Preview;
+
+    fn open(announce: Arc<ScanAnnounce>, ctx: &StreamContext) -> Result<Self, String> {
+        IncrementalScan::open(announce, &ctx.plans, &ctx.fbp)
+    }
+
+    fn ingest(&mut self, frame: &FrameSlab) -> bool {
+        IncrementalScan::ingest(self, frame)
+    }
+
+    fn received(&self) -> usize {
+        IncrementalScan::received(self)
+    }
+
+    fn finish(self, ctx: &StreamContext) -> Option<Preview> {
+        let t_end = Instant::now();
+        let announce = Arc::clone(&self.announce);
+        let preview = IncrementalScan::finish(self, &announce.scan_id)?;
+        ctx.previews.inc();
+        ctx.ingest_busy_us
+            .record(preview.ingest_busy.as_micros() as u64);
+        ctx.recon_us.record(preview.recon_wall.as_micros() as u64);
+        ctx.feedback_us.record(t_end.elapsed().as_micros() as u64);
+        Some(preview)
     }
 }
 
 /// Handle to the running service.
 pub struct StreamingReconService {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    _thread: ServiceThread,
 }
 
 impl StreamingReconService {
@@ -400,80 +401,29 @@ impl StreamingReconService {
         cfg: StreamerConfig,
         plans: Arc<PlanCache>,
     ) -> (StreamingReconService, PreviewChannel) {
-        let (tx, rx): (Sender<Preview>, Receiver<Preview>) = bounded(cfg.preview_queue.max(1));
-        let dropped = Arc::new(AtomicU64::new(0));
-        let dropped2 = Arc::clone(&dropped);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        // without a registry the counters are detached: same code path
-        let m = cfg
-            .registry
-            .as_ref()
-            .map_or_else(StreamMetrics::default, |r| {
-                StreamMetrics::new(r, &cfg.stream)
-            });
-        let handle = std::thread::spawn(move || {
-            let mut current: Option<IncrementalScan> = None;
-            while !stop2.load(Ordering::Relaxed) {
-                let msg = match sub.recv_timeout(Duration::from_millis(20)) {
-                    Ok(m) => m,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                };
-                match msg {
-                    StreamMessage::ScanStart(announce) => {
-                        if current.take().is_some() {
-                            // the previous scan never ended: no preview
-                            m.scans_abandoned.inc();
-                        }
-                        match IncrementalScan::open(announce, &plans, &cfg.fbp) {
-                            Ok(scan) => current = Some(scan),
-                            Err(_) => m.scans_rejected.inc(),
-                        }
-                    }
-                    StreamMessage::Frame(frame) => {
-                        // a frame with no scan open (none announced, or
-                        // its announcement refused) is rejected too
-                        if current.as_mut().is_some_and(|scan| scan.ingest(&frame)) {
-                            m.ingested.inc();
-                        } else {
-                            m.rejected.inc();
-                        }
-                        // `frame` drops here: slab returns to its pool
-                    }
-                    StreamMessage::ScanEnd { scan_id } => {
-                        let Some(scan) = current.take() else {
-                            continue;
-                        };
-                        if scan.announce.scan_id != *scan_id {
-                            // the end of another scan: this one's end and
-                            // the next one's start were lost in transit,
-                            // so its frames may belong to either scan
-                            m.scans_abandoned.inc();
-                            continue;
-                        }
-                        let t_end = Instant::now();
-                        if let Some(preview) = scan.finish(&scan_id) {
-                            m.previews.inc();
-                            m.ingest_busy_us
-                                .record(preview.ingest_busy.as_micros() as u64);
-                            m.recon_us.record(preview.recon_wall.as_micros() as u64);
-                            m.feedback_us.record(t_end.elapsed().as_micros() as u64);
-                            if tx.try_send(preview).is_err() {
-                                dropped2.fetch_add(1, Ordering::Relaxed);
-                                m.previews_dropped.inc();
-                            }
-                        }
-                    }
-                }
-            }
-        });
+        // without a registry the metrics go to a private one: same code path
+        let r = cfg.registry.unwrap_or_default();
+        let l = &[("stream", cfg.stream.as_str())][..];
+        let counters = BoundaryCounters {
+            ingested: r.counter("stream_frames_ingested_total", l),
+            rejected: r.counter("stream_frames_rejected_total", l),
+            scans_rejected: r.counter("stream_scans_rejected_total", l),
+            scans_abandoned: r.counter("stream_scans_abandoned_total", l),
+            dropped: r.counter("stream_previews_dropped_total", l),
+        };
+        let ctx = StreamContext {
+            plans,
+            fbp: cfg.fbp,
+            previews: r.counter("stream_previews_total", l),
+            feedback_us: r.histogram("stream_preview_feedback_us", l),
+            recon_us: r.histogram("stream_preview_recon_us", l),
+            ingest_busy_us: r.histogram("stream_preview_ingest_busy_us", l),
+        };
+        let (thread, replies) =
+            spawn_scan_consumer::<IncrementalScan>(sub, ctx, cfg.preview_queue, counters);
         (
-            StreamingReconService {
-                stop,
-                handle: Some(handle),
-            },
-            PreviewChannel { rx, dropped },
+            StreamingReconService { _thread: thread },
+            PreviewChannel { replies },
         )
     }
 
@@ -481,19 +431,10 @@ impl StreamingReconService {
     pub fn stop(self) {}
 }
 
-impl Drop for StreamingReconService {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::PvaServer;
+    use crate::channel::{PvaServer, StreamMessage};
     use crate::publish_scan;
     use als_phantom::{shepp_logan_volume, DetectorConfig, ScanSimulator};
     use als_tomo::Geometry as TomoGeometry;

@@ -248,18 +248,9 @@ fn both_consumers_survive_hostile_announcements_and_serve_the_next_scan() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn abandoned_scans_and_orphan_frames_are_counted() {
-    let registry = Arc::new(Registry::new());
-    let server = PvaServer::with_registry("ioc", Arc::clone(&registry));
-    let (streamer, previews) = StreamingReconService::spawn(
-        server.subscribe_named("preview", 4096, DeliveryMode::Lossy),
-        StreamerConfig {
-            stream: "s".into(),
-            registry: Some(Arc::clone(&registry)),
-            ..Default::default()
-        },
-    );
+/// Orphan frames before any scan, a scan whose end never came, a kept
+/// scan, a frame after its end, a stray end, and a last scan.
+fn publish_abandoned_and_orphan_script(server: &PvaServer) -> u64 {
     let a = announce(6);
     let start = |scan_id: &str| {
         StreamMessage::ScanStart(Arc::new(ScanAnnounce {
@@ -291,6 +282,22 @@ fn abandoned_scans_and_orphan_frames_are_counted() {
     for m in script {
         server.publish(m);
     }
+    control
+}
+
+#[test]
+fn abandoned_scans_and_orphan_frames_are_counted() {
+    let registry = Arc::new(Registry::new());
+    let server = PvaServer::with_registry("ioc", Arc::clone(&registry));
+    let (streamer, previews) = StreamingReconService::spawn(
+        server.subscribe_named("preview", 4096, DeliveryMode::Lossy),
+        StreamerConfig {
+            stream: "s".into(),
+            registry: Some(Arc::clone(&registry)),
+            ..Default::default()
+        },
+    );
+    let control = publish_abandoned_and_orphan_script(&server);
     let kept = previews
         .recv_timeout(Duration::from_secs(20))
         .expect("kept");
@@ -314,6 +321,47 @@ fn abandoned_scans_and_orphan_frames_are_counted() {
     assert_eq!((ingested, rejected, dropped), (6, 3, 0));
     assert_eq!(published, ingested + rejected + control + dropped);
     streamer.stop();
+}
+
+#[test]
+fn the_writer_counts_abandoned_scans_and_orphan_frames_like_the_streamer() {
+    let dir = std::env::temp_dir().join("streamer_writer_abandoned");
+    std::fs::remove_dir_all(&dir).ok();
+    let registry = Arc::new(Registry::new());
+    let server = PvaServer::with_registry("ioc", Arc::clone(&registry));
+    let writer = FileWriterService::spawn_with(
+        server.subscribe_named("filewriter", 4096, DeliveryMode::Reliable),
+        &dir,
+        FileWriterConfig {
+            stream: "s".into(),
+            registry: Some(Arc::clone(&registry)),
+            ..Default::default()
+        },
+    );
+    publish_abandoned_and_orphan_script(&server);
+    let kept = writer
+        .wait_completion(Duration::from_secs(20))
+        .expect("kept");
+    assert_eq!((kept.scan_id.as_str(), kept.n_frames), ("kept", 3));
+    let last = writer
+        .wait_completion(Duration::from_secs(20))
+        .expect("last");
+    assert_eq!((last.scan_id.as_str(), last.n_frames), ("last", 1));
+    assert!(writer.wait_completion(Duration::from_millis(200)).is_none());
+    assert!(!dir.join("unended.sdf").exists());
+
+    let snap = registry.snapshot();
+    assert_eq!(
+        snap.counters["stream_writer_scans_abandoned_total{stream=\"s\"}"], 1,
+        "the scan whose end never came is abandoned, not silently replaced"
+    );
+    assert_eq!(
+        snap.counters["stream_writer_rejected_total{stream=\"s\"}"],
+        3
+    );
+    assert_eq!(writer.rejected_count(), 3);
+    writer.stop();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Two back-to-back 16-angle scans whose boundary was lost in transit
@@ -399,8 +447,12 @@ fn a_lost_scan_boundary_never_merges_two_scans_into_one_file() {
     assert_eq!(writer.rejected_count(), 16);
     let snap = registry.snapshot();
     assert_eq!(
-        snap.counters["stream_writer_scans_rejected_total{stream=\"s\"}"],
+        snap.counters["stream_writer_scans_abandoned_total{stream=\"s\"}"],
         1
+    );
+    assert_eq!(
+        snap.counters["stream_writer_scans_rejected_total{stream=\"s\"}"],
+        0
     );
     writer.stop();
     std::fs::remove_dir_all(&dir).ok();

@@ -220,10 +220,6 @@ impl IterPlan {
         self.plan.geometry()
     }
 
-    pub fn config(&self) -> &IterConfig {
-        &self.cfg
-    }
-
     /// Allocate the mutable buffers one worker thread needs. Create one
     /// per thread and reuse it for every batch that thread processes.
     pub fn make_scratch(&self) -> IterScratch {

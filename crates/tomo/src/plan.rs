@@ -91,7 +91,6 @@ impl Default for FbpConfig {
 #[derive(Debug, Clone)]
 pub struct ReconPlan {
     geom: Geometry,
-    cfg: FbpConfig,
     /// Cached padded filter response + FFT twiddle tables.
     filter: FilterPlan,
     /// `(sin θ, cos θ)` per projection angle.
@@ -156,7 +155,6 @@ impl ReconPlan {
         let intervals = build_intervals(&trig, &extents, n, geom.center);
         Ok(ReconPlan {
             geom: geom.clone(),
-            cfg: *cfg,
             filter: FilterPlan::new(cfg.filter, n),
             trig,
             extents,
@@ -188,10 +186,6 @@ impl ReconPlan {
 
     pub fn geometry(&self) -> &Geometry {
         &self.geom
-    }
-
-    pub fn config(&self) -> &FbpConfig {
-        &self.cfg
     }
 
     /// Allocate the mutable buffers one worker thread needs. Create one
@@ -865,10 +859,6 @@ impl GridrecPlan {
 
     pub fn geometry(&self) -> &Geometry {
         &self.geom
-    }
-
-    pub fn config(&self) -> &GridrecConfig {
-        &self.cfg
     }
 
     pub fn make_scratch(&self) -> GridrecScratch {
