@@ -1,16 +1,17 @@
 //! Reconstruction kernel bench: plan-based FBP throughput per slice, per
-//! four-slice lane batch and per volume across a thread sweep, plus the
-//! fused preprocessing chain — the per-slice costs every pipeline
-//! estimate in the paper-scale model is calibrated from.
+//! four-slice lane batch and per volume across a thread sweep, the fused
+//! preprocessing chain, and the volume forward projector that renders
+//! every simulated scan — the per-slice costs every pipeline estimate in
+//! the paper-scale model is calibrated from.
 //!
 //! Writes `BENCH_recon.json` at the workspace root so the perf
 //! trajectory is tracked per change. Run with `--quick` (CI) for a
 //! reduced-repetition pass guarded against the committed references in
 //! `ci/recon_quick_ref.json`.
 
-use als_phantom::shepp_logan_2d;
+use als_phantom::{shepp_logan_2d, shepp_logan_volume};
 use als_tomo::prep;
-use als_tomo::radon::forward_project;
+use als_tomo::radon::{forward_project, forward_project_volume};
 use als_tomo::{FbpConfig, Geometry, ReconPlan, Sinogram};
 use std::hint::black_box;
 use std::path::Path;
@@ -198,6 +199,63 @@ fn prep_chain_entry(n: usize, n_angles: usize, reps: usize) -> String {
     )
 }
 
+struct ForwardResult {
+    json: String,
+    lanes_1_thread_ms_per_slice: f64,
+}
+
+/// The scan renderer's projector on an `nz`-slice Shepp-Logan volume,
+/// three ways: slice by slice through the one-lane `forward_project`
+/// (how scans were rendered before the volume projector), and
+/// `forward_project_volume` on one worker and on every available core.
+fn forward_project_entry(n: usize, n_angles: usize, nz: usize, reps: usize) -> ForwardResult {
+    let vol = shepp_logan_volume(n, nz);
+    let geom = Geometry::parallel_180(n_angles, n);
+    let cores = std::thread::available_parallelism()
+        .map(|c| c.get())
+        .unwrap_or(1);
+    let t_one_lane = time_best(reps, || {
+        for z in 0..nz {
+            black_box(forward_project(&vol.slice_xy(z), &geom));
+        }
+    });
+    let mut lanes = Vec::new();
+    for threads in [1, cores] {
+        rayon::set_num_threads(threads);
+        lanes.push(time_best(reps, || {
+            black_box(forward_project_volume(&vol, &geom));
+        }));
+    }
+    rayon::set_num_threads(0);
+    let runs: Vec<String> = [
+        ("one_lane", 1, t_one_lane),
+        ("slice_lanes", 1, lanes[0]),
+        ("slice_lanes", cores, lanes[1]),
+    ]
+    .into_iter()
+    .map(|(path, threads, t)| {
+        println!(
+            "forward/volume {n}x{n}x{n_angles} ({nz} slices) {path} {threads} threads: {:.3} ms/slice, {:.2}x vs one lane",
+            t * 1e3 / nz as f64,
+            t_one_lane / t
+        );
+        format!(
+            "      {{\"path\": \"{path}\", \"threads\": {threads}, \"ms_per_slice\": {}, \"speedup_vs_one_lane\": {}}}",
+            json_num(t * 1e3 / nz as f64),
+            json_num(t_one_lane / t)
+        )
+    })
+    .collect();
+    let json = format!(
+        "    {{\"n\": {n}, \"n_angles\": {n_angles}, \"nz\": {nz}, \"available_cores\": {cores}, \"runs\": [\n{}\n    ]}}",
+        runs.join(",\n")
+    );
+    ForwardResult {
+        json,
+        lanes_1_thread_ms_per_slice: lanes[0] * 1e3 / nz as f64,
+    }
+}
+
 fn volume_entry(n: usize, n_angles: usize, nz: usize, reps: usize) -> String {
     let (sino, geom) = shepp_sino(n, n_angles);
     let sinos = vec![sino; nz];
@@ -288,25 +346,31 @@ fn recon_throughput(quick: bool) {
         .collect();
     // the acceptance volume: 256×256, 180 angles
     let vol = volume_entry(256, 180, nz, reps);
+    // the fbp_archive render: 256×256, 180 angles, 32 detector rows
+    let forward = forward_project_entry(256, 180, if quick { 8 } else { 32 }, reps);
 
     let slice_rows: Vec<&str> = slices.iter().map(|s| s.json.as_str()).collect();
     let batch_rows: Vec<&str> = batches.iter().map(|b| b.json.as_str()).collect();
     let json = format!(
-        "{{\n  \"bench\": \"recon\",\n  \"mode\": \"{}\",\n{},\n  \"note\": \"plan-engine FBP and fused prep; ns_per_pixel_angle = wall / (n^2 * n_angles) per slice; scaling_efficiency = (speedup vs 1 thread) / threads, reported only for rows with threads <= available_cores (oversubscribed rows are flagged and carry null efficiency)\",\n  \"slice_fbp\": [\n{}\n  ],\n  \"batch_fbp\": [\n{}\n  ],\n  \"prep_chain\": [\n{}\n  ],\n  \"volume_fbp\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"recon\",\n  \"mode\": \"{}\",\n{},\n  \"note\": \"plan-engine FBP and fused prep; ns_per_pixel_angle = wall / (n^2 * n_angles) per slice; scaling_efficiency = (speedup vs 1 thread) / threads, reported only for rows with threads <= available_cores (oversubscribed rows are flagged and carry null efficiency); forward_project rows time the scan renderer's projector per slice: one_lane is forward_project slice by slice, slice_lanes is forward_project_volume on `threads` workers\",\n  \"slice_fbp\": [\n{}\n  ],\n  \"batch_fbp\": [\n{}\n  ],\n  \"prep_chain\": [\n{}\n  ],\n  \"volume_fbp\": [\n{}\n  ],\n  \"forward_project\": [\n{}\n  ]\n}}\n",
         if quick { "quick" } else { "full" },
         cpu_block(),
         slice_rows.join(",\n"),
         batch_rows.join(",\n"),
         preps.join(",\n"),
-        vol
+        vol,
+        forward.json
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recon.json");
     std::fs::write(out, &json).expect("write BENCH_recon.json");
     println!("wrote {out}");
     // CI regression guard (quick mode only): the 256×256 single-slice
-    // row and the per-slice time of the 256×256 lane batch must each
-    // stay within 2x of the committed reference — the second is the one
-    // a volume path falling back to slice-by-slice speed would trip.
+    // row, the per-slice time of the 256×256 lane batch and the
+    // one-worker per-slice time of the volume forward projector must
+    // each stay within 2x of the committed reference — the last two are
+    // the ones a volume path (FBP or scan render) falling back to
+    // slice-by-slice speed would trip. The projector row is the
+    // one-worker run so the guard does not depend on the core count.
     if quick {
         let slice_256 = slices
             .iter()
@@ -327,6 +391,11 @@ fn recon_throughput(quick: bool) {
                 "batch_fbp 256 per slice",
                 "quick_batch_fbp_256_ms_per_slice",
                 Some(batches[0].ms_per_slice),
+            ),
+            (
+                "forward_project 256 per slice",
+                "quick_forward_project_256_ms_per_slice",
+                Some(forward.lanes_1_thread_ms_per_slice),
             ),
         ] {
             match (measured, load_quick_reference(ref_path, key)) {

@@ -8,7 +8,7 @@
 //! [`Frame`]s exactly as they would PVA monitor updates.
 
 use als_simcore::SimRng;
-use als_tomo::{forward_project, Geometry, Sinogram, Volume};
+use als_tomo::{forward_project_volume, Geometry, Sinogram, Volume};
 use serde::{Deserialize, Serialize};
 
 /// Detector and illumination parameters.
@@ -90,9 +90,11 @@ impl Frame {
 
 /// Simulates a complete 180° scan of a phantom volume.
 ///
-/// Projections are precomputed per slice (the geometry's sinogram), then
-/// re-sliced into per-angle frames: `frame[r][c]` is detector row `r`
-/// (slice `r` of the volume) and column `c`.
+/// Projections are precomputed for the whole volume at construction
+/// ([`forward_project_volume`]: four slices per ray walk, slice groups
+/// spread across cores, one sinogram per slice), then re-sliced into
+/// per-angle frames: `frame[r][c]` is detector row `r` (slice `r` of the
+/// volume) and column `c`.
 pub struct ScanSimulator {
     geom: Geometry,
     cfg: DetectorConfig,
@@ -112,9 +114,7 @@ impl ScanSimulator {
             "detector width must match the phantom side"
         );
         assert_eq!(vol.nx, vol.ny, "phantom slices must be square");
-        let sinos: Vec<Sinogram> = (0..vol.nz)
-            .map(|z| forward_project(&vol.slice_xy(z), &geom))
-            .collect();
+        let sinos = forward_project_volume(vol, &geom);
         let mut rng = SimRng::seeded(seed);
         let rows = vol.nz;
         let cols = geom.n_det;
@@ -201,33 +201,6 @@ impl ScanSimulator {
     }
 }
 
-/// Convert raw counts back to attenuation line integrals using the dark
-/// and flat references — the inverse of the detector model, used by both
-/// reconstruction branches.
-pub fn frames_to_sinogram(
-    frames: &[Frame],
-    dark: &[u16],
-    flat: &[u16],
-    slice_row: usize,
-    mu_scale: f64,
-) -> Sinogram {
-    assert!(!frames.is_empty(), "no frames");
-    let cols = frames[0].meta.cols;
-    let n_angles = frames.len();
-    let mut sino = Sinogram::zeros(n_angles, cols);
-    for (a, frame) in frames.iter().enumerate() {
-        let base = slice_row * cols;
-        for c in 0..cols {
-            let raw = frame.data[base + c] as f64;
-            let d = dark[base + c] as f64;
-            let f = flat[base + c] as f64;
-            let t = ((raw - d) / (f - d).max(1.0)).clamp(1e-6, 1.0);
-            sino.set(a, c, (-(t.ln()) / mu_scale) as f32);
-        }
-    }
-    sino
-}
-
 fn sample_counts(expected: f64, noise: bool, rng: &mut SimRng) -> u16 {
     let v = if noise {
         sample_poisson(expected, rng)
@@ -264,6 +237,33 @@ fn sample_poisson(lambda: f64, rng: &mut SimRng) -> f64 {
 mod tests {
     use super::*;
     use crate::shepp::shepp_logan_volume;
+    use als_tomo::forward_project;
+
+    /// Convert raw counts back to attenuation line integrals using the dark
+    /// and flat references — the inverse of the detector model.
+    fn frames_to_sinogram(
+        frames: &[Frame],
+        dark: &[u16],
+        flat: &[u16],
+        slice_row: usize,
+        mu_scale: f64,
+    ) -> Sinogram {
+        assert!(!frames.is_empty(), "no frames");
+        let cols = frames[0].meta.cols;
+        let n_angles = frames.len();
+        let mut sino = Sinogram::zeros(n_angles, cols);
+        for (a, frame) in frames.iter().enumerate() {
+            let base = slice_row * cols;
+            for c in 0..cols {
+                let raw = frame.data[base + c] as f64;
+                let d = dark[base + c] as f64;
+                let f = flat[base + c] as f64;
+                let t = ((raw - d) / (f - d).max(1.0)).clamp(1e-6, 1.0);
+                sino.set(a, c, (-(t.ln()) / mu_scale) as f32);
+            }
+        }
+        sino
+    }
 
     fn small_scan(noise: bool) -> ScanSimulator {
         let vol = shepp_logan_volume(32, 4);
@@ -321,6 +321,25 @@ mod tests {
                 truth.data[i]
             );
         }
+    }
+
+    #[test]
+    fn frames_match_per_slice_projection() {
+        // five rows: one full lane group and a partial one with idle lanes
+        let vol = shepp_logan_volume(32, 5);
+        let geom = Geometry::parallel_180(24, 32);
+        let mut sim = ScanSimulator::new(&vol, geom.clone(), DetectorConfig::default(), 9);
+        let mut per_slice = ScanSimulator::new(&vol, geom.clone(), DetectorConfig::default(), 9);
+        per_slice.sinos = (0..vol.nz)
+            .map(|z| forward_project(&vol.slice_xy(z), &geom))
+            .collect();
+        for (z, (a, b)) in sim.sinos.iter().zip(&per_slice.sinos).enumerate() {
+            let bits = |s: &Sinogram| s.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "slice {z}");
+        }
+        assert_eq!(sim.dark_field(), per_slice.dark_field());
+        assert_eq!(sim.flat_field(), per_slice.flat_field());
+        assert_eq!(sim.all_frames(), per_slice.all_frames());
     }
 
     #[test]

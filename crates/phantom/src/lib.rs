@@ -24,7 +24,7 @@ pub mod morphology;
 pub mod proppant;
 pub mod shepp;
 
-pub use detector::{frames_to_sinogram, DetectorConfig, Frame, FrameMeta, ScanSimulator};
+pub use detector::{DetectorConfig, Frame, FrameMeta, ScanSimulator};
 pub use feather::{feather_volume, FeatherSpecies};
 pub use morphology::MorphologyReport;
 pub use proppant::proppant_volume;

@@ -61,28 +61,6 @@ impl Image {
         &mut self.data[y * self.width..(y + 1) * self.width]
     }
 
-    /// Bilinear sample at fractional coordinates; returns 0 outside.
-    pub fn sample_bilinear(&self, x: f64, y: f64) -> f64 {
-        if x < 0.0 || y < 0.0 {
-            return 0.0;
-        }
-        let x0 = x.floor() as usize;
-        let y0 = y.floor() as usize;
-        if x0 + 1 >= self.width || y0 + 1 >= self.height {
-            return 0.0;
-        }
-        let fx = x - x0 as f64;
-        let fy = y - y0 as f64;
-        let v00 = self.get(x0, y0) as f64;
-        let v10 = self.get(x0 + 1, y0) as f64;
-        let v01 = self.get(x0, y0 + 1) as f64;
-        let v11 = self.get(x0 + 1, y0 + 1) as f64;
-        v00 * (1.0 - fx) * (1.0 - fy)
-            + v10 * fx * (1.0 - fy)
-            + v01 * (1.0 - fx) * fy
-            + v11 * fx * fy
-    }
-
     /// Minimum and maximum pixel values (0,0 for an empty image).
     pub fn min_max(&self) -> (f32, f32) {
         let mut mn = f32::INFINITY;
@@ -302,16 +280,6 @@ mod tests {
     #[should_panic(expected = "mismatch")]
     fn from_vec_validates_len() {
         Image::from_vec(2, 2, vec![0.0; 3]);
-    }
-
-    #[test]
-    fn bilinear_interpolates_linearly() {
-        let img = Image::from_vec(2, 2, vec![0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(img.sample_bilinear(0.5, 0.0), 0.5);
-        assert_eq!(img.sample_bilinear(0.0, 0.5), 1.0);
-        assert_eq!(img.sample_bilinear(0.5, 0.5), 1.5);
-        assert_eq!(img.sample_bilinear(-1.0, 0.0), 0.0);
-        assert_eq!(img.sample_bilinear(5.0, 0.0), 0.0);
     }
 
     #[test]

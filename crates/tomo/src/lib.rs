@@ -14,8 +14,9 @@
 //!   CPU algorithm TomoPy defaults to;
 //! * [`iterative`] — SIRT, the "higher quality owing to the
 //!   preprocessing and iterative algorithms" branch of the paper;
-//! * [`radon`] — the forward projector and reconstruction-disk mask
-//!   shared by everything;
+//! * [`radon`] — the forward projector (one kernel: a single image, or a
+//!   volume four slices per ray walk across cores) and the
+//!   reconstruction-disk mask shared by everything;
 //! * [`fft`] — an in-house radix-2 FFT (no external FFT dependency), with
 //!   table-driven [`fft::FftPlan`]s for hot loops;
 //! * [`plan`] — the plan-and-scratch reconstruction engine and the one
@@ -65,7 +66,7 @@ pub use pipeline::{
 pub use plan::{FbpAccumulator, FbpConfig, GridrecPlan, GridrecScratch, ReconPlan, ReconScratch};
 pub use prep::{PaganinPlan, RawPrepPlan, SinoPostPlan, SinoPostScratch};
 pub use quality::{mse, psnr, ssim};
-pub use radon::forward_project;
+pub use radon::{forward_project, forward_project_volume};
 pub use simd::SimdPath;
 
 /// Errors produced by reconstruction entry points.

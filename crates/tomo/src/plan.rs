@@ -422,15 +422,22 @@ impl ReconPlan {
         Ok(vol)
     }
 
-    /// Forward-project `img` into `sino` using the plan's trig tables
-    /// and per-ray clipping of the integration range.
+    /// Forward-project `img` into `sino` using the plan's trig tables:
+    /// the one-lane case of the [`crate::radon`] projector kernel.
     pub fn forward_into(&self, img: &Image, sino: &mut Sinogram) {
         debug_assert_eq!(sino.n_angles, self.geom.n_angles());
         debug_assert_eq!(sino.n_det, self.geom.n_det);
-        for a in 0..self.geom.n_angles() {
-            let (sin_t, cos_t) = self.trig[a];
+        let dims = (img.width, img.height);
+        for (a, &(sin_t, cos_t)) in self.trig.iter().enumerate() {
             let row = sino.row_mut(a);
-            crate::radon::project_angle_into(img, &self.geom, sin_t, cos_t, row);
+            crate::radon::project_angle_lanes::<1>(
+                dims,
+                &img.data,
+                self.geom.center,
+                sin_t,
+                cos_t,
+                row,
+            );
         }
     }
 }

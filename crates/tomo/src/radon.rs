@@ -9,9 +9,21 @@
 //! ([`crate::ReconPlan::backproject_acc`]) gathers with linear
 //! interpolation along the detector. The pair is approximately adjoint,
 //! which is what the iterative solvers in [`crate::iterative`] rely on.
+//!
+//! There is one projector kernel, generic over its lane count, and a lane
+//! is an image. [`forward_project_volume`] interleaves `SLICE_LANES`
+//! volume slices pixel-wise (`buf[pixel * SLICE_LANES + lane]`, the layout
+//! of the SIRT and FBP lane engines), so each ray's clip interval, sample
+//! positions and bilinear weights are computed once for four slices, and
+//! it spreads the slice groups across rayon workers. [`forward_project`]
+//! and [`crate::ReconPlan::forward_into`] are the one-lane case. Every
+//! lane performs the one-lane f64 sequence, so a slice projected in a
+//! group is bit-identical to the same slice projected alone.
 
 use crate::geometry::Geometry;
-use crate::image::{Image, Sinogram};
+use crate::image::{Image, Sinogram, Volume};
+use crate::simd::SLICE_LANES;
+use rayon::prelude::*;
 
 /// Integrate the image along every ray of the geometry, producing a
 /// sinogram. This is the `A` in the iterative solvers and the synthetic
@@ -27,34 +39,80 @@ pub fn forward_project(img: &Image, geom: &Geometry) -> Sinogram {
 pub fn forward_project_into(img: &Image, geom: &Geometry, sino: &mut Sinogram) {
     assert_eq!(sino.n_angles, geom.n_angles());
     assert_eq!(sino.n_det, geom.n_det);
+    let dims = (img.width, img.height);
     for (a, &theta) in geom.angles.iter().enumerate() {
         let (sin_t, cos_t) = theta.sin_cos();
-        project_angle_into(img, geom, sin_t, cos_t, sino.row_mut(a));
+        project_angle_lanes::<1>(dims, &img.data, geom.center, sin_t, cos_t, sino.row_mut(a));
     }
 }
 
+/// Forward-project every `xy` slice of `vol`: sinogram `z` is
+/// bit-identical to [`forward_project`] of `vol.slice_xy(z)`. Slices go
+/// through the kernel `SLICE_LANES` at a time (a last, smaller group runs
+/// with idle lanes), one group per rayon work item.
+pub fn forward_project_volume(vol: &Volume, geom: &Geometry) -> Vec<Sinogram> {
+    const L: usize = SLICE_LANES;
+    let (dims, npix) = ((vol.nx, vol.ny), vol.nx * vol.ny);
+    let trig: Vec<(f64, f64)> = geom.angles.iter().map(|&t| t.sin_cos()).collect();
+    let mut sinos: Vec<Sinogram> = (0..vol.nz)
+        .map(|_| Sinogram::zeros(geom.n_angles(), geom.n_det))
+        .collect();
+    sinos.par_chunks_mut(L).enumerate().for_each_init(
+        || (vec![0.0f32; npix * L], vec![0.0f32; geom.n_det * L]),
+        |(img, row), (g, group)| {
+            if group.len() < L {
+                img.fill(0.0);
+            }
+            for lane in 0..group.len() {
+                let z = g * L + lane;
+                let slice = &vol.data[z * npix..(z + 1) * npix];
+                for (px, &v) in img.chunks_exact_mut(L).zip(slice) {
+                    px[lane] = v;
+                }
+            }
+            for (a, &(sin_t, cos_t)) in trig.iter().enumerate() {
+                project_angle_lanes::<L>(dims, img, geom.center, sin_t, cos_t, row);
+                for (lane, sino) in group.iter_mut().enumerate() {
+                    for (o, px) in sino.row_mut(a).iter_mut().zip(row.chunks_exact(L)) {
+                        *o = px[lane];
+                    }
+                }
+            }
+        },
+    );
+    sinos
+}
+
 /// Integrate one projection angle (given as its precomputed `sinθ`/`cosθ`)
-/// into a detector row. The integration range of each ray is clipped to
-/// where it can intersect the image rectangle: `sample_bilinear` is exactly
-/// zero unless `x ∈ [0, w-1]` and `y ∈ [0, h-1]`, so the clip (widened by
-/// two steps on each side for float safety) changes no sums — it only skips
-/// samples that were exact zeros.
-pub(crate) fn project_angle_into(
-    img: &Image,
-    geom: &Geometry,
+/// of `L` pixel-interleaved `w × h` images (`img[pixel * L + lane]`) into
+/// an interleaved detector row (`out[bin * L + lane]`).
+///
+/// Per ray, the integration range, every sample position, its 2×2
+/// footprint and its bilinear weights are computed once for all lanes.
+/// Each lane then adds, in f64 and in increasing ray step,
+/// `v00·(1−fx)·(1−fy) + v10·fx·(1−fy) + v01·(1−fx)·fy + v11·fx·fy` to its
+/// accumulator. A sample whose footprint leaves the image is skipped: it
+/// would add an exact zero. The range is clipped to where the ray can
+/// meet the image (`x ∈ [0, w-1]`, `y ∈ [0, h-1]`), widened by two steps
+/// on each side for float safety, so the clip also only skips exact
+/// zeros.
+pub(crate) fn project_angle_lanes<const L: usize>(
+    (w, h): (usize, usize),
+    img: &[f32],
+    center: f64,
     sin_t: f64,
     cos_t: f64,
-    out_row: &mut [f32],
+    out: &mut [f32],
 ) {
-    let cx = (img.width as f64 - 1.0) / 2.0;
-    let cy = (img.height as f64 - 1.0) / 2.0;
-    let last_x = img.width as f64 - 1.0;
-    let last_y = img.height as f64 - 1.0;
+    debug_assert_eq!(img.len(), w * h * L);
+    let cx = (w as f64 - 1.0) / 2.0;
+    let cy = (h as f64 - 1.0) / 2.0;
+    let last_x = w as f64 - 1.0;
+    let last_y = h as f64 - 1.0;
     // ray length covers the image diagonal
-    let half_len =
-        (((img.width * img.width + img.height * img.height) as f64).sqrt() / 2.0).ceil() as i64;
-    for (t, out) in out_row.iter_mut().enumerate() {
-        let s = t as f64 - geom.center;
+    let half_len = (((w * w + h * h) as f64).sqrt() / 2.0).ceil() as i64;
+    for (t, out) in out.chunks_exact_mut(L).enumerate() {
+        let s = t as f64 - center;
         // base point on the detector line through the image center
         let bx = cx + s * cos_t;
         let by = cy + s * sin_t;
@@ -67,7 +125,7 @@ pub(crate) fn project_angle_into(
             lo = lo.max(a.min(b));
             hi = hi.min(a.max(b));
         } else if !(0.0..=last_x).contains(&bx) {
-            *out = 0.0;
+            out.fill(0.0);
             continue;
         }
         // y(r) = by + r·cosθ ∈ [0, last_y]
@@ -77,20 +135,40 @@ pub(crate) fn project_angle_into(
             lo = lo.max(a.min(b));
             hi = hi.min(a.max(b));
         } else if !(0.0..=last_y).contains(&by) {
-            *out = 0.0;
+            out.fill(0.0);
             continue;
         }
         // float-to-int casts saturate, so degenerate (empty) intervals are safe
         let r_lo = ((lo.floor() as i64) - 2).max(-half_len);
         let r_hi = ((hi.ceil() as i64) + 2).min(half_len);
-        let mut acc = 0.0f64;
+        let mut acc = [0.0f64; L];
         for r in r_lo..=r_hi {
             let rf = r as f64;
             let x = bx - rf * sin_t;
             let y = by + rf * cos_t;
-            acc += img.sample_bilinear(x, y);
+            if x < 0.0 || y < 0.0 {
+                continue;
+            }
+            // non-negative, so truncation is the floor
+            let (x0, y0) = (x as usize, y as usize);
+            if x0 + 1 >= w || y0 + 1 >= h {
+                continue;
+            }
+            let fx = x - x0 as f64;
+            let fy = y - y0 as f64;
+            let (gx, gy) = (1.0 - fx, 1.0 - fy);
+            let i = (y0 * w + x0) * L;
+            let top = &img[i..i + 2 * L];
+            let bot = &img[i + w * L..i + (w + 2) * L];
+            for (l, acc) in acc.iter_mut().enumerate() {
+                let (v00, v10) = (top[l] as f64, top[L + l] as f64);
+                let (v01, v11) = (bot[l] as f64, bot[L + l] as f64);
+                *acc += v00 * gx * gy + v10 * fx * gy + v01 * gx * fy + v11 * fx * fy;
+            }
         }
-        *out = acc as f32;
+        for (o, acc) in out.iter_mut().zip(acc) {
+            *o = acc as f32;
+        }
     }
 }
 

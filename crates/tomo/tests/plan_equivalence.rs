@@ -7,13 +7,15 @@
 //! phantom plan and reference reconstructions must agree to float
 //! round-off (the acceptance bar is 1e-5 RMSE; measured drift is orders
 //! of magnitude smaller). The clipped forward projector must be
-//! *bit-identical*: the samples it skips are exact zeros.
+//! *bit-identical*, for one image and for every slice of a
+//! lane-interleaved volume: the samples it skips are exact zeros, and
+//! each lane repeats the one-image arithmetic.
 
-use als_phantom::shepp_logan_2d;
+use als_phantom::{shepp_logan_2d, shepp_logan_volume};
 use als_tomo::fft::{Complex, FftPlan};
 use als_tomo::gridrec::{gridrec_slice, GridrecConfig};
 use als_tomo::image::{Image, Sinogram};
-use als_tomo::radon::{forward_project, in_recon_disk};
+use als_tomo::radon::{forward_project, forward_project_volume, in_recon_disk};
 use als_tomo::{
     FbpAccumulator, FbpConfig, FilterKind, FilterPlan, Geometry, IterConfig, IterPlan, ReconPlan,
     SimdPath, SinoPostPlan, Volume,
@@ -108,7 +110,41 @@ fn clipped_forward_projection_is_bit_identical() {
         let clipped = forward_project(&truth, &geom);
         let mut full = Sinogram::zeros(geom.n_angles(), geom.n_det);
         reference::forward_project_into(&truth, &geom, &mut full);
-        assert_eq!(clipped, full, "center {center}");
+        assert_eq!(bits(&clipped.data), bits(&full.data), "center {center}");
+    }
+}
+
+/// Every sinogram of `forward_project_volume` against the pre-plan
+/// full-diagonal projector of that slice alone; `Err` names the first
+/// slice that differs in any bit.
+fn volume_projection_mismatch(vol: &Volume, geom: &Geometry) -> Result<(), String> {
+    let sinos = forward_project_volume(vol, geom);
+    if sinos.len() != vol.nz {
+        return Err(format!("{} sinograms for {} slices", sinos.len(), vol.nz));
+    }
+    for (z, sino) in sinos.iter().enumerate() {
+        let mut full = Sinogram::zeros(geom.n_angles(), geom.n_det);
+        reference::forward_project_into(&vol.slice_xy(z), geom, &mut full);
+        if bits(&sino.data) != bits(&full.data) {
+            return Err(format!("slice {z} of {}", vol.nz));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn volume_forward_projection_is_bit_identical() {
+    // nz = 1, 3: one group of idle lanes; 4: one full group; 5, 9: full
+    // groups then a partial last one
+    for n in [31, 48] {
+        for nz in [1, 3, 4, 5, 9] {
+            let vol = shepp_logan_volume(n, nz);
+            for center in [(n as f64 - 1.0) / 2.0, 19.25] {
+                let geom = Geometry::parallel_180(60, n).with_center(center);
+                let outcome = volume_projection_mismatch(&vol, &geom);
+                assert_eq!(outcome, Ok(()), "n {n}, nz {nz}, center {center}");
+            }
+        }
     }
 }
 
@@ -764,6 +800,26 @@ fn scratch_independent_of_sharing() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Arbitrary pixel values, negatives included, through the volume
+    /// projector: every slice bit-identical to the pre-plan projector.
+    #[test]
+    fn volume_forward_projection_is_bit_identical_for_any_image(
+        n in 2usize..24,
+        nz in 1usize..10,
+        n_angles in 1usize..12,
+        center_shift in -3.0f64..3.0,
+        fill in proptest::collection::vec(-50.0f64..50.0, 1..97),
+    ) {
+        let mut vol = Volume::zeros(n, n, nz);
+        for (i, v) in vol.data.iter_mut().enumerate() {
+            *v = fill[(i * 7 + i / fill.len()) % fill.len()] as f32;
+        }
+        let center = (n as f64 - 1.0) / 2.0 + center_shift;
+        let geom = Geometry::parallel_180(n_angles, n).with_center(center);
+        let outcome = volume_projection_mismatch(&vol, &geom);
+        prop_assert!(outcome.is_ok(), "n {} nz {} angles {}: {:?}", n, nz, n_angles, outcome);
+    }
 
     /// Packed two-row real-FFT filtering must equal row-at-a-time
     /// filtering for arbitrary row pairs (and odd row counts, which

@@ -8,7 +8,9 @@
 //! the affine detector coordinate per pixel with no extent hoisting,
 //! forward projection always walks the full ±diagonal, and volume
 //! reconstruction is a sequential slice loop collected through an
-//! intermediate image copy. [`sirt_slice`] is the pre-`IterPlan` SIRT.
+//! intermediate image copy. [`sirt_slice`] is the pre-`IterPlan` SIRT,
+//! and [`sample_bilinear`] the per-sample interpolation that the
+//! library's projector kernel inlines for all of its lanes.
 //!
 //! They live here, beside the equivalence gates in `plan_equivalence.rs`
 //! (and, for SIRT, `tests/pipeline_equivalence.rs` at the workspace
@@ -80,6 +82,36 @@ pub fn prep_chain(
     s
 }
 
+/// Bilinear sample of `img` at fractional coordinates; 0 unless the whole
+/// 2×2 footprint is inside the image.
+fn sample_bilinear(img: &Image, x: f64, y: f64) -> f64 {
+    if x < 0.0 || y < 0.0 {
+        return 0.0;
+    }
+    let x0 = x.floor() as usize;
+    let y0 = y.floor() as usize;
+    if x0 + 1 >= img.width || y0 + 1 >= img.height {
+        return 0.0;
+    }
+    let fx = x - x0 as f64;
+    let fy = y - y0 as f64;
+    let v00 = img.get(x0, y0) as f64;
+    let v10 = img.get(x0 + 1, y0) as f64;
+    let v01 = img.get(x0, y0 + 1) as f64;
+    let v11 = img.get(x0 + 1, y0 + 1) as f64;
+    v00 * (1.0 - fx) * (1.0 - fy) + v10 * fx * (1.0 - fy) + v01 * (1.0 - fx) * fy + v11 * fx * fy
+}
+
+#[test]
+fn bilinear_interpolates_linearly() {
+    let img = Image::from_vec(2, 2, vec![0.0, 1.0, 2.0, 3.0]);
+    assert_eq!(sample_bilinear(&img, 0.5, 0.0), 0.5);
+    assert_eq!(sample_bilinear(&img, 0.0, 0.5), 1.0);
+    assert_eq!(sample_bilinear(&img, 0.5, 0.5), 1.5);
+    assert_eq!(sample_bilinear(&img, -1.0, 0.0), 0.0);
+    assert_eq!(sample_bilinear(&img, 5.0, 0.0), 0.0);
+}
+
 /// Pre-plan forward projection: every ray walks the full ±image-diagonal
 /// integration range, sampling (mostly zeros) outside the image too.
 pub fn forward_project_into(img: &Image, geom: &Geometry, sino: &mut Sinogram) {
@@ -101,7 +133,7 @@ pub fn forward_project_into(img: &Image, geom: &Geometry, sino: &mut Sinogram) {
                 let rf = r as f64;
                 let x = bx - rf * sin_t;
                 let y = by + rf * cos_t;
-                acc += img.sample_bilinear(x, y);
+                acc += sample_bilinear(img, x, y);
             }
             *out = acc as f32;
         }
