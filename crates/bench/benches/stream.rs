@@ -233,22 +233,24 @@ fn equivalence_entry(n: usize, nz: usize, n_angles: usize) -> String {
         oracle.slice_xz(n / 2),
         oracle.slice_yz(n / 2),
     ];
+    let bits = |img: &als_tomo::Image| img.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let identical = preview
         .slices
         .iter()
         .zip(&want)
-        .all(|(a, b)| a.data == b.data);
+        .all(|(a, b)| bits(a) == bits(b));
     assert!(
         identical,
         "preview reconstructed on arrival diverged from the from-scratch oracle"
     );
     let ingest_us = ingest_s * 1e6 / frames.len() as f64;
     let sustained = frames.len() as f64 / ingest_s;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "on-arrival equivalence ({n}x{n}x{nz}, {n_angles} angles): bit-identical; scan-end residual {residual_ms:.2} ms vs from-scratch {scratch_ms:.1} ms; ingest {ingest_us:.1} us/frame = {sustained:.0} frames/s sustained on one core"
     );
     format!(
-        "  {{\"scan\": {{\"n\": {n}, \"nz\": {nz}, \"n_angles\": {n_angles}}}, \"bit_identical\": {identical}, \"scan_end_residual_ms\": {}, \"from_scratch_ms\": {}, \"ingest_us_per_frame\": {}, \"sustained_frames_per_s_one_core\": {}}}",
+        "  {{\"scan\": {{\"n\": {n}, \"nz\": {nz}, \"n_angles\": {n_angles}}}, \"available_cores\": {cores}, \"bit_identical\": {identical}, \"scan_end_residual_ms\": {}, \"from_scratch_ms\": {}, \"ingest_us_per_frame\": {}, \"sustained_frames_per_s_one_core\": {}}}",
         json_num(residual_ms),
         json_num(scratch_ms),
         json_num(ingest_us),
@@ -420,7 +422,7 @@ fn main() {
 
     let row_json: Vec<&str> = sweep.iter().map(|r| r.json.as_str()).collect();
     let json = format!(
-        "{{\n  \"bench\": \"stream\",\n  \"mode\": \"{}\",\n  \"note\": \"zero-copy multi-detector streaming: slab-pooled frames published once and shared by monitor/writer/preview consumers, bounded queues with exact drop accounting, frames filtered and backprojected on arrival (scan-end work = the residual; recon_p50_ms is that residual), N streams multiplexed onto one shared ReconPlan; on_arrival_equivalence carries the one-core ingest cost and the frame rate it sustains; storm arm publishes under core::faults brownout+corruption with the paper-scale preview-latency SLO on the paper's post-acquisition model (equivalent p99 < 10 s on the sim clock)\",\n  \"scan\": {{\"n\": {n}, \"nz\": {nz}, \"n_angles\": {n_angles}}},\n  \"zero_copy\": {{\"frame_deep_copies\": {deep_copies}}},\n  \"quick_single_stream_wall_ms\": {},\n  \"stream_sweep\": [\n{}\n  ],\n  \"on_arrival_equivalence\": \n{},\n  \"storm\": \n{}\n}}\n",
+        "{{\n  \"bench\": \"stream\",\n  \"mode\": \"{}\",\n  \"note\": \"zero-copy multi-detector streaming: slab-pooled frames published once and shared by monitor/writer/preview consumers, bounded queues with exact drop accounting, frames filtered and backprojected on arrival (scan-end work = the residual; recon_p50_ms is that residual), N streams multiplexed onto one shared ReconPlan; on_arrival_equivalence carries the one-core ingest cost and the frame rate it sustains on available_cores, and its scan_end_residual_ms is finish() of a complete scan, whose last frame already flushed every pending angle; storm arm publishes under core::faults brownout+corruption with the paper-scale preview-latency SLO on the paper's post-acquisition model (equivalent p99 < 10 s on the sim clock)\",\n  \"scan\": {{\"n\": {n}, \"nz\": {nz}, \"n_angles\": {n_angles}}},\n  \"zero_copy\": {{\"frame_deep_copies\": {deep_copies}}},\n  \"quick_single_stream_wall_ms\": {},\n  \"stream_sweep\": [\n{}\n  ],\n  \"on_arrival_equivalence\": \n{},\n  \"storm\": \n{}\n}}\n",
         if quick { "quick" } else { "full" },
         json_num(sweep[0].wall_s * 1e3),
         row_json.join(",\n"),

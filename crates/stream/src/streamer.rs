@@ -7,10 +7,12 @@
 //! dark/flat normalized and −log converted straight out of the shared
 //! slab, the slab handle is released back to the pool, and the rows are
 //! filtered and backprojected into a running volume
-//! ([`als_tomo::FbpAccumulator`]). When the acquisition ends the volume
-//! is all but finished: preview latency after scan end is the last few
-//! pending angles, the hand-off out of the lane layout and the three
-//! slice extractions.
+//! ([`als_tomo::FbpAccumulator`]). The last announced angle flushes the
+//! angles still pending, so when a complete acquisition ends the volume
+//! is finished: preview latency after scan end is reading the three
+//! slices straight out of the accumulator's lane layout (plus the lone
+//! last angle of an odd count, or the pending angles of a scan that lost
+//! frames).
 //!
 //! Reconstruction plans are shared through a [`PlanCache`]: N concurrent
 //! detector streams with the same geometry multiplex onto one
@@ -262,8 +264,9 @@ impl IncrementalScan {
         self.rejected
     }
 
-    /// Finish the acquisition: flush the last pending angles, rescale
-    /// when frames were lost or repeated, and assemble the preview.
+    /// Finish the acquisition: flush what is still pending, and read the
+    /// three preview slices out of the running volume, rescaled when
+    /// frames were lost or repeated.
     pub fn finish(self, scan_id: &str) -> Option<Preview> {
         let received = self.received();
         if received == 0 {
@@ -274,10 +277,11 @@ impl IncrementalScan {
         let recon_wall = t_recon.elapsed();
 
         let t_send = Instant::now();
+        let (nx, ny, nz) = vol.dims();
         let slices = [
-            vol.slice_xy(vol.nz / 2),
-            vol.slice_xz(vol.ny / 2),
-            vol.slice_yz(vol.nx / 2),
+            vol.slice_xy(nz / 2),
+            vol.slice_xz(ny / 2),
+            vol.slice_yz(nx / 2),
         ];
         let send_wall = t_send.elapsed();
         Some(Preview {
@@ -312,9 +316,10 @@ pub struct Preview {
     /// over the scan: the reconstruction work that overlapped acquisition.
     pub ingest_busy: Duration,
     /// Wall-clock reconstruction time left at scan end: the residual
-    /// after [`Preview::ingest_busy`] (pending angles + hand-off).
+    /// after [`Preview::ingest_busy`]: whatever the last frame did not
+    /// flush (nothing for a complete even-count scan).
     pub recon_wall: Duration,
-    /// Wall-clock preview serialization + send time.
+    /// Wall-clock time reading the three slices out of the lane layout.
     pub send_wall: Duration,
     /// Wall clock from scan end to preview ready — the paper's <10 s
     /// feedback figure. Residual-only because reconstruction happened

@@ -63,7 +63,9 @@ pub use pipeline::{
     PipelineConfig, PipelineError, PipelineReport, ProjectionSource, ReconKind, SliceSink,
     VolumeSink,
 };
-pub use plan::{FbpAccumulator, FbpConfig, GridrecPlan, GridrecScratch, ReconPlan, ReconScratch};
+pub use plan::{
+    FbpAccumulator, FbpConfig, GridrecPlan, GridrecScratch, LaneVolume, ReconPlan, ReconScratch,
+};
 pub use prep::{PaganinPlan, RawPrepPlan, SinoPostPlan, SinoPostScratch};
 pub use quality::{mse, psnr, ssim};
 pub use radon::{forward_project, forward_project_volume};

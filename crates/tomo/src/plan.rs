@@ -445,8 +445,9 @@ impl ReconPlan {
 /// Filtered back projection of a scan whose projections arrive one
 /// angle at a time — every slice's row of that angle at once, the way a
 /// detector frame delivers them — so the reconstruction is spent while
-/// the scan is still being acquired and [`FbpAccumulator::finish`] has
-/// almost nothing left to do.
+/// the scan is still being acquired. The plan's last angle flushes what
+/// is still pending, so [`FbpAccumulator::finish`] of a complete scan
+/// only hands the running volume out, as a [`LaneVolume`].
 ///
 /// FBP is linear in the angles: the volume is the sum over angles of
 /// each filtered row smeared across the image. The accumulator keeps
@@ -463,8 +464,8 @@ impl ReconPlan {
 /// order gives that volume bit for bit.
 ///
 /// Angles may be skipped or repeated. The plan's weight assumes all of
-/// its angles, so `finish` rescales the sum by `n_angles / pushed` (one
-/// f32 multiply per voxel, exactly `1.0` for a complete scan).
+/// its angles, so the finished slices are rescaled by `n_angles / pushed`
+/// (one f32 multiply per voxel, exactly `1.0` for a complete scan).
 pub struct FbpAccumulator {
     plan: Arc<ReconPlan>,
     n_slices: usize,
@@ -521,12 +522,13 @@ impl FbpAccumulator {
     /// Filtered angles the accumulator gathers before it sweeps them
     /// over the running volume. A sweep walks the whole volume through the
     /// cache once, so more angles per sweep amortize that walk further,
-    /// while the angles still pending when the scan ends are what the
-    /// preview waits for. Walk and kernel time both grow with the volume,
-    /// so the angle count that balances them does not depend on its size:
-    /// 4 to 14 measured the same ingest cost per frame on 16 × 128² slices
-    /// (DESIGN.md §14) and 8 kept the scan-end flush under a millisecond.
-    /// Even, because angles are filtered in pairs.
+    /// while the plan's last angle sweeps up to this many more in its own
+    /// push (and `finish` of a scan that lost frames sweeps what is still
+    /// pending). Walk and kernel time both grow with the volume, so the
+    /// angle count that balances them does not depend on its size: 4 to 14
+    /// measured the same ingest cost per frame on 16 × 128² slices
+    /// (DESIGN.md §14) and 8 kept a flush of the remainder under a
+    /// millisecond. Even, because angles are filtered in pairs.
     pub const SWEEP_ANGLES: usize = 8;
 
     /// Take the staged rows as projection angle `a` of the plan's
@@ -537,10 +539,15 @@ impl FbpAccumulator {
         if self.held_angle.is_none() {
             std::mem::swap(&mut self.held, &mut self.staged);
             self.held_angle = Some(a);
-            return;
+        } else {
+            self.filter_held(Some(a));
         }
-        self.filter_held(Some(a));
-        if self.pending_angles.len() == Self::SWEEP_ANGLES {
+        // the plan's last angle flushes what is pending, so a complete
+        // scan reaches its end with nothing left to backproject but the
+        // lone held angle of an odd count
+        let complete = self.pushed == self.plan.trig.len();
+        let pending = self.pending_angles.len();
+        if pending == Self::SWEEP_ANGLES || (complete && pending > 0) {
             self.sweep();
         }
     }
@@ -601,35 +608,99 @@ impl FbpAccumulator {
         self.pending_angles.clear();
     }
 
-    /// Backproject what is still held or pending and hand the slices
-    /// out of their lanes, rescaled when the pushes were not exactly the
-    /// plan's angle count.
-    pub fn finish(mut self) -> Volume {
+    /// Backproject what is still held or pending — nothing for a complete
+    /// even-count scan, which its last push flushed — and hand the running
+    /// volume out in its lane layout, rescaled when the pushes were not
+    /// exactly the plan's angle count.
+    pub fn finish(mut self) -> LaneVolume {
         if self.held_angle.is_some() {
             self.filter_held(None);
         }
         if !self.pending_angles.is_empty() {
             self.sweep();
         }
-        let n = self.plan.geom.n_det;
         let ratio = match self.pushed {
             0 => 1.0,
             pushed => (self.plan.trig.len() as f64 / pushed as f64) as f32,
         };
-        let vol4 = &self.vol4;
-        let mut vol = Volume::zeros(n, n, self.n_slices);
-        vol.data
-            .par_chunks_mut(SLICE_LANES * n * n)
-            .enumerate()
-            .for_each(|(batch, slices)| {
-                let img4 = &vol4[batch * n * n * SLICE_LANES..(batch + 1) * n * n * SLICE_LANES];
-                for (lane, slice) in slices.chunks_exact_mut(n * n).enumerate() {
-                    for (o, px) in slice.iter_mut().zip(img4.chunks_exact(SLICE_LANES)) {
-                        *o = px[lane] * ratio;
-                    }
-                }
-            });
-        vol
+        LaneVolume {
+            n: self.plan.geom.n_det,
+            nz: self.n_slices,
+            vol4: self.vol4,
+            ratio,
+        }
+    }
+}
+
+/// A finished [`FbpAccumulator`] volume, read where it was accumulated:
+/// the running lane-interleaved buffer is moved in, not copied, so a
+/// preview that needs three slices never builds the whole [`Volume`].
+/// Each slice read applies the `n_angles / pushed` rescale as one f32
+/// multiply per voxel.
+pub struct LaneVolume {
+    n: usize,
+    nz: usize,
+    /// `vol4[((batch·n + y)·n + x)·L + lane]` holds voxel `(x, y, z)` of
+    /// slice `z = batch·L + lane`, with `L` = [`SLICE_LANES`].
+    vol4: Vec<f32>,
+    ratio: f32,
+}
+
+impl LaneVolume {
+    /// `(nx, ny, nz)`: `n_det × n_det` pixels in each of `n_slices` slices.
+    pub fn dims(&self) -> (usize, usize, usize) {
+        (self.n, self.n, self.nz)
+    }
+
+    /// Row `y` of slice `z` with its lane neighbours interleaved, and
+    /// `z`'s lane in it.
+    fn row4(&self, y: usize, z: usize) -> (&[f32], usize) {
+        assert!(
+            y < self.n && z < self.nz,
+            "row ({y}, {z}) is outside the volume"
+        );
+        let start = (z / SLICE_LANES * self.n + y) * self.n * SLICE_LANES;
+        (
+            &self.vol4[start..start + self.n * SLICE_LANES],
+            z % SLICE_LANES,
+        )
+    }
+
+    /// Rows `(y, z)` in turn, rescaled, as one `n × rows` image.
+    fn rows(&self, rows: impl ExactSizeIterator<Item = (usize, usize)>) -> Image {
+        let height = rows.len();
+        let mut data = Vec::with_capacity(self.n * height);
+        for (y, z) in rows {
+            let (row4, lane) = self.row4(y, z);
+            data.extend(
+                row4.chunks_exact(SLICE_LANES)
+                    .map(|px| px[lane] * self.ratio),
+            );
+        }
+        Image::from_vec(self.n, height, data)
+    }
+
+    /// The XY (axial) slice `z`, as [`Volume::slice_xy`].
+    pub fn slice_xy(&self, z: usize) -> Image {
+        self.rows((0..self.n).map(|y| (y, z)))
+    }
+
+    /// The XZ slice at row `y`, as [`Volume::slice_xz`].
+    pub fn slice_xz(&self, y: usize) -> Image {
+        self.rows((0..self.nz).map(|z| (y, z)))
+    }
+
+    /// The YZ slice at column `x`, as [`Volume::slice_yz`].
+    pub fn slice_yz(&self, x: usize) -> Image {
+        assert!(x < self.n, "column {x} is outside the volume");
+        let mut data = Vec::with_capacity(self.n * self.nz);
+        for z in 0..self.nz {
+            for y in 0..self.n {
+                let (row4, lane) = self.row4(y, z);
+                data.push(row4[x * SLICE_LANES + lane] * self.ratio);
+            }
+        }
+        Image::from_vec(self.n, self.nz, data)
     }
 }
 
@@ -1186,5 +1257,72 @@ mod tests {
         let geom = Geometry::parallel_180(10, 16);
         let plan = ReconPlan::new(&geom, &FbpConfig::default()).unwrap();
         assert!(plan.fbp_volume(&[]).is_err());
+    }
+
+    /// Push each angle of `order`, every slice's row a constant.
+    fn push_all(acc: &mut FbpAccumulator, order: &[usize]) {
+        for &a in order {
+            acc.stage_mut().fill(1.0 + a as f32);
+            acc.push(a);
+        }
+    }
+
+    #[test]
+    fn the_last_announced_angle_flushes_the_scan() {
+        let sweep = FbpAccumulator::SWEEP_ANGLES;
+        for n_angles in [
+            2,
+            sweep - 2,
+            sweep,
+            sweep + 2,
+            2 * sweep + 4,
+            3,
+            sweep + 1,
+            2 * sweep + 3,
+        ] {
+            let geom = Geometry::parallel_180(n_angles, 24);
+            let plan = Arc::new(ReconPlan::new(&geom, &FbpConfig::default()).unwrap());
+            let in_order: Vec<usize> = (0..n_angles).collect();
+            let shuffled: Vec<usize> = (0..n_angles)
+                .step_by(2)
+                .chain((1..n_angles).step_by(2).rev())
+                .collect();
+            for order in [in_order, shuffled] {
+                let mut acc = FbpAccumulator::new(Arc::clone(&plan), 5);
+                push_all(&mut acc, &order);
+                assert!(
+                    acc.pending_angles.is_empty(),
+                    "{n_angles} angles: {order:?}"
+                );
+                if n_angles % 2 == 1 {
+                    // the lone last angle waits to be filtered unpaired
+                    assert_eq!(acc.held_angle, order.last().copied());
+                    continue;
+                }
+                assert_eq!(acc.held_angle, None, "{n_angles} angles: {order:?}");
+                // finish sweeps nothing and hands the running volume out
+                // where it lies
+                let (before, at) = (acc.vol4.clone(), acc.vol4.as_ptr());
+                let lanes = acc.finish();
+                assert_eq!(lanes.vol4.as_ptr(), at);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&lanes.vol4),
+                    bits(&before),
+                    "{n_angles} angles: {order:?}"
+                );
+                assert_eq!(lanes.ratio, 1.0);
+            }
+        }
+        // a scan that lost its last pair still has angles pending at
+        // its end, and finish sweeps them
+        let plan = Arc::new(
+            ReconPlan::new(&Geometry::parallel_180(12, 24), &FbpConfig::default()).unwrap(),
+        );
+        let mut acc = FbpAccumulator::new(plan, 5);
+        push_all(&mut acc, &(0..10).collect::<Vec<_>>());
+        assert_eq!(acc.pending_angles, [8, 9]);
+        let before = acc.vol4.clone();
+        assert_ne!(acc.finish().vol4, before);
     }
 }

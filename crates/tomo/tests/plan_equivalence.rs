@@ -17,8 +17,8 @@ use als_tomo::gridrec::{gridrec_slice, GridrecConfig};
 use als_tomo::image::{Image, Sinogram};
 use als_tomo::radon::{forward_project, forward_project_volume, in_recon_disk};
 use als_tomo::{
-    FbpAccumulator, FbpConfig, FilterKind, FilterPlan, Geometry, IterConfig, IterPlan, ReconPlan,
-    SimdPath, SinoPostPlan, Volume,
+    FbpAccumulator, FbpConfig, FilterKind, FilterPlan, Geometry, IterConfig, IterPlan, LaneVolume,
+    ReconPlan, SimdPath, SinoPostPlan, Volume,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -569,7 +569,7 @@ fn fbp_slice_bits_do_not_depend_on_lane_or_neighbours() {
 
 /// Push row `a` of every sinogram as plan angle `a`, for each `a` of
 /// `order`, the way detector frames deliver a scan.
-fn accumulate(plan: &Arc<ReconPlan>, sinos: &[Sinogram], order: &[usize]) -> Volume {
+fn accumulate_lanes(plan: &Arc<ReconPlan>, sinos: &[Sinogram], order: &[usize]) -> LaneVolume {
     let n = plan.geometry().n_det;
     let mut acc = FbpAccumulator::new(Arc::clone(plan), sinos.len());
     for &a in order {
@@ -580,6 +580,20 @@ fn accumulate(plan: &Arc<ReconPlan>, sinos: &[Sinogram], order: &[usize]) -> Vol
     }
     assert_eq!(acc.pushed(), order.len());
     acc.finish()
+}
+
+/// [`accumulate_lanes`], with the whole volume read out slice by slice.
+fn accumulate(plan: &Arc<ReconPlan>, sinos: &[Sinogram], order: &[usize]) -> Volume {
+    assemble(&accumulate_lanes(plan, sinos, order))
+}
+
+fn assemble(lanes: &LaneVolume) -> Volume {
+    let (nx, ny, nz) = lanes.dims();
+    let mut vol = Volume::zeros(nx, ny, nz);
+    for z in 0..nz {
+        vol.set_slice_xy(z, &lanes.slice_xy(z));
+    }
+    vol
 }
 
 #[test]
@@ -608,13 +622,21 @@ fn fbp_accumulator_is_bit_identical_to_fbp_volume() {
                     };
                     for &rows in row_counts {
                         let want = plan.fbp_volume(&sinos[..rows]).unwrap();
-                        let got = accumulate(&plan, &sinos[..rows], &order);
-                        assert_eq!((got.nx, got.ny, got.nz), (n, n, rows));
-                        assert_eq!(
-                            bits(&got.data),
-                            bits(&want.data),
+                        let lanes = accumulate_lanes(&plan, &sinos[..rows], &order);
+                        let got = assemble(&lanes);
+                        let case = format!(
                             "n {n}, {n_angles} angles, {rows} rows, {path:?}, mask {mask_disk}"
                         );
+                        assert_eq!((got.nx, got.ny, got.nz), (n, n, rows));
+                        assert_eq!(bits(&got.data), bits(&want.data), "{case}");
+                        // the orthogonal slices read across lanes and batches
+                        for i in 0..n {
+                            let (xz, yz) = (lanes.slice_xz(i), lanes.slice_yz(i));
+                            assert_eq!((xz.width, xz.height), (n, rows), "{case}");
+                            assert_eq!((yz.width, yz.height), (n, rows), "{case}");
+                            assert_eq!(bits(&xz.data), bits(&want.slice_xz(i).data), "{case}");
+                            assert_eq!(bits(&yz.data), bits(&want.slice_yz(i).data), "{case}");
+                        }
                     }
                 }
             }
